@@ -31,8 +31,8 @@ SystemMode lane_mode(const SchemeTraits& traits) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+int main(int argc, char** argv) try {
+  const CliArgs args(argc, argv, {"csv", "fast", "threads"});
   set_threads_from_cli(args);
   const ScopedTimer timer("ablate_ecc_scheme");
   const auto scale = ExperimentScale::from_flag(args.get_bool("fast") ? "fast" : "default");
@@ -98,4 +98,6 @@ int main(int argc, char** argv) {
                  "in-word instead of on a movable window.\n";
   }
   return 0;
+} catch (const std::exception& e) {
+  return cli_error(e);
 }

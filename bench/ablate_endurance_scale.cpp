@@ -13,8 +13,8 @@
 
 using namespace pcmsim;
 
-int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+int main(int argc, char** argv) try {
+  const CliArgs args(argc, argv, {"app", "csv", "threads"});
   set_threads_from_cli(args);
   const ScopedTimer timer("ablate_endurance_scale");
   const std::string app_name = args.get("app", "milc");
@@ -66,4 +66,6 @@ int main(int argc, char** argv) {
                  "scale with endurance x lines.\n";
   }
   return 0;
+} catch (const std::exception& e) {
+  return cli_error(e);
 }

@@ -15,8 +15,8 @@
 
 using namespace pcmsim;
 
-int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+int main(int argc, char** argv) try {
+  const CliArgs args(argc, argv, {"csv", "ecc", "fast", "threads"});
   set_threads_from_cli(args);
   const ScopedTimer timer("ablate_energy");
   const auto scale = ExperimentScale::from_flag(args.get_bool("fast") ? "fast" : "default");
@@ -76,4 +76,6 @@ int main(int argc, char** argv) {
                  "energy premium from repacking entropy — the energy face of Fig 5.\n";
   }
   return 0;
+} catch (const std::exception& e) {
+  return cli_error(e);
 }

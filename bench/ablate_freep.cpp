@@ -59,8 +59,8 @@ std::uint64_t run_region(double spare_fraction, std::uint64_t seed) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+int main(int argc, char** argv) try {
+  const CliArgs args(argc, argv, {"csv", "seed", "threads"});
   set_threads_from_cli(args);
   const ScopedTimer timer("ablate_freep");
   const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 3));
@@ -92,4 +92,6 @@ int main(int argc, char** argv) {
                  "shrinking the data instead of moving it.\n";
   }
   return 0;
+} catch (const std::exception& e) {
+  return cli_error(e);
 }

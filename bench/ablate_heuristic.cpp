@@ -26,8 +26,8 @@ struct Variant {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+int main(int argc, char** argv) try {
+  const CliArgs args(argc, argv, {"csv", "fast", "threads"});
   set_threads_from_cli(args);
   const ScopedTimer timer("ablate_heuristic");
   const auto scale = ExperimentScale::from_flag(args.get_bool("fast") ? "fast" : "default");
@@ -96,4 +96,6 @@ int main(int argc, char** argv) {
                  "always-compress and is neutral on hmmer.\n";
   }
   return 0;
+} catch (const std::exception& e) {
+  return cli_error(e);
 }

@@ -13,8 +13,8 @@
 
 using namespace pcmsim;
 
-int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+int main(int argc, char** argv) try {
+  const CliArgs args(argc, argv, {"app", "csv", "fast", "threads"});
   set_threads_from_cli(args);
   const ScopedTimer timer("ablate_intraline");
   const std::string app_name = args.get("app", "milc");
@@ -73,4 +73,6 @@ int main(int argc, char** argv) {
                  "between the flip-overhead and no-leveling extremes.\n";
   }
   return 0;
+} catch (const std::exception& e) {
+  return cli_error(e);
 }

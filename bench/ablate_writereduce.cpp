@@ -15,8 +15,8 @@
 
 using namespace pcmsim;
 
-int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+int main(int argc, char** argv) try {
+  const CliArgs args(argc, argv, {"csv", "group", "threads", "writes"});
   set_threads_from_cli(args);
   const ScopedTimer timer("ablate_writereduce");
   const auto writes = static_cast<int>(args.get_int("writes", 40000));
@@ -74,4 +74,6 @@ int main(int argc, char** argv) {
                                std::to_string(group_bits) + "-bit groups)");
   }
   return 0;
+} catch (const std::exception& e) {
+  return cli_error(e);
 }

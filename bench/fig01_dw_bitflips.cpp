@@ -13,8 +13,8 @@
 
 using namespace pcmsim;
 
-int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+int main(int argc, char** argv) try {
+  const CliArgs args(argc, argv, {"app", "csv", "seed", "writes"});
   const std::string app_name = args.get("app", "gobmk");
   const auto samples = static_cast<std::size_t>(args.get_int("writes", 64));
   const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
@@ -61,4 +61,6 @@ int main(int argc, char** argv) {
               << "  (paper: random scatter across the 0..512 range)\n";
   }
   return 0;
+} catch (const std::exception& e) {
+  return cli_error(e);
 }

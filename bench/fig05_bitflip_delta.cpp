@@ -24,8 +24,8 @@ struct ShadowLine {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+int main(int argc, char** argv) try {
+  const CliArgs args(argc, argv, {"csv", "seed", "writes"});
   const auto writes = static_cast<int>(args.get_int("writes", 60000));
   const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
 
@@ -100,4 +100,6 @@ int main(int argc, char** argv) {
                  "bzip2/gcc increase despite decent CR (size churn); leslie3d untouched.\n";
   }
   return 0;
+} catch (const std::exception& e) {
+  return cli_error(e);
 }

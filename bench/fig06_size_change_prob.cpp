@@ -11,8 +11,8 @@
 
 using namespace pcmsim;
 
-int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+int main(int argc, char** argv) try {
+  const CliArgs args(argc, argv, {"csv", "seed", "writes"});
   const auto writes = static_cast<int>(args.get_int("writes", 60000));
   const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 77));
 
@@ -54,4 +54,6 @@ int main(int argc, char** argv) {
                  "explains why bzip2 sees increased flips while hmmer does not (Fig 7).\n";
   }
   return 0;
+} catch (const std::exception& e) {
+  return cli_error(e);
 }

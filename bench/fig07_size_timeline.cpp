@@ -65,8 +65,8 @@ void trace_app(const std::string& name, int samples, std::uint64_t seed, bool cs
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+int main(int argc, char** argv) try {
+  const CliArgs args(argc, argv, {"csv", "seed", "writes"});
   const auto samples = static_cast<int>(args.get_int("writes", 40));
   const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 5));
   const bool csv = args.get_bool("csv");
@@ -77,4 +77,6 @@ int main(int argc, char** argv) {
                  "flat.\n";
   }
   return 0;
+} catch (const std::exception& e) {
+  return cli_error(e);
 }

@@ -17,8 +17,8 @@
 
 using namespace pcmsim;
 
-int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+int main(int argc, char** argv) try {
+  const CliArgs args(argc, argv, {"csv", "no-wrap", "seed", "step", "threads", "trials"});
   set_threads_from_cli(args);
   const ScopedTimer timer("fig09_montecarlo");
   MonteCarloConfig mc;
@@ -80,4 +80,6 @@ int main(int argc, char** argv) {
                  "Aegis >= SAFER >= ECP.\n";
   }
   return 0;
+} catch (const std::exception& e) {
+  return cli_error(e);
 }

@@ -11,8 +11,8 @@
 
 using namespace pcmsim;
 
-int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+int main(int argc, char** argv) try {
+  const CliArgs args(argc, argv, {"apps", "csv", "fast", "paper", "seed", "threads"});
   set_threads_from_cli(args);
   const ScopedTimer timer("fig10_lifetime");
   auto scale = ExperimentScale::from_flag(
@@ -65,4 +65,6 @@ int main(int argc, char** argv) {
                  "hurts; WF best, largest for high-CR apps (milc, zeusmp, cactusADM).\n";
   }
   return 0;
+} catch (const std::exception& e) {
+  return cli_error(e);
 }

@@ -12,8 +12,8 @@
 
 using namespace pcmsim;
 
-int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+int main(int argc, char** argv) try {
+  const CliArgs args(argc, argv, {"csv", "seed", "writes"});
   const auto writes = static_cast<int>(args.get_int("writes", 200000));
   const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 13));
   const bool csv = args.get_bool("csv");
@@ -50,4 +50,6 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+} catch (const std::exception& e) {
+  return cli_error(e);
 }

@@ -13,8 +13,8 @@
 
 using namespace pcmsim;
 
-int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+int main(int argc, char** argv) try {
+  const CliArgs args(argc, argv, {"csv", "ecc", "fast", "paper", "seed", "threads"});
   set_threads_from_cli(args);
   const ScopedTimer timer("fig12_tolerable_errors");
   auto scale = ExperimentScale::from_flag(
@@ -62,4 +62,6 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+} catch (const std::exception& e) {
+  return cli_error(e);
 }

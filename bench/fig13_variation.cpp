@@ -12,8 +12,8 @@
 
 using namespace pcmsim;
 
-int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+int main(int argc, char** argv) try {
+  const CliArgs args(argc, argv, {"cov", "csv", "fast", "paper", "seed", "threads"});
   set_threads_from_cli(args);
   const ScopedTimer timer("fig13_variation");
   auto scale = ExperimentScale::from_flag(
@@ -45,4 +45,6 @@ int main(int argc, char** argv) {
                  "10-15x) because weak-cell variation punishes the baseline hardest.\n";
   }
   return 0;
+} catch (const std::exception& e) {
+  return cli_error(e);
 }

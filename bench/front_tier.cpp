@@ -56,8 +56,10 @@ struct Job {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+int main(int argc, char** argv) try {
+  const CliArgs args(argc, argv, {"apps", "cov", "endurance", "expect_checksum", "lines",
+                                  "max_writes", "policies", "profile", "seed", "threads",
+                                  "tier-kbs"});
   const std::size_t threads = set_threads_from_cli(args);
   if (args.get_bool("profile")) prof::set_enabled(true);
 
@@ -179,4 +181,6 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+} catch (const std::exception& e) {
+  return cli_error(e);
 }

@@ -108,8 +108,8 @@ CodecTimings time_codec(const HardErrorScheme& scheme, std::size_t iters,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+int main(int argc, char** argv) try {
+  const CliArgs args(argc, argv, {"fast", "scheme"});
   const std::size_t iters = args.get_bool("fast") ? 2000 : 20000;
   const std::string only = args.get("scheme", "");
 
@@ -144,4 +144,6 @@ int main(int argc, char** argv) {
   }
   std::cout << "\n  ]\n}\n";
   return 0;
+} catch (const std::exception& e) {
+  return cli_error(e);
 }

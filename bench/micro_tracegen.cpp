@@ -1,19 +1,10 @@
-// Trace-subsystem microbenchmark: generation throughput of the default
-// SampledTraceSource (and, on explicit opt-in, the quarantined legacy
-// TraceGenerator), v2 trace-file write/read throughput, and chunk-decode
-// throughput serial vs parallel at 1/2/4/8 threads. Emits machine-readable
-// JSON (committed numbers live in BENCH_tracegen.json).
+// Trace-subsystem microbenchmark: generation throughput of the
+// SampledTraceSource every lifetime/figure run uses, v2 trace-file
+// write/read throughput, and chunk-decode throughput serial vs parallel at
+// 1/2/4/8 threads. Emits machine-readable JSON (committed numbers live in
+// BENCH_tracegen.json).
 //
-// `--source` selects what stage 1 measures:
-//   sampled (default)  the SampledTraceSource every lifetime/figure run uses
-//   legacy             sampled AND the legacy generator, plus speedup ratios
-//                      (the bench's one flagged legacy entry point)
-//   file               skip generation; only the file stages run
-//
-// ROADMAP bottleneck context: at the PR-4 seed, trace generation was the
-// single largest stage of every lifetime run (~1.5 us/event). The sampled
-// source cut kTraceGen to ~1/4.5 of the legacy ticks/event; the parallel
-// decode stage below measures the remaining ingest cost for replayed files.
+// `--source file` skips the generation stage; only the file stages run.
 //
 // `--expect_checksum N` exits non-zero when the deterministic work checksum
 // deviates — a rolling hash over every event the default stages produce
@@ -103,16 +94,16 @@ SourceRun run_source(TraceSource& source, std::size_t events) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+int main(int argc, char** argv) try {
+  const CliArgs args(argc, argv, {"events", "expect_checksum", "lines", "out", "seed", "source"});
   const auto events = static_cast<std::size_t>(args.get_int("events", 150000));
   const auto lines = static_cast<std::uint64_t>(args.get_int("lines", 4096));
   const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
   const std::string path = args.get("out", "/tmp/pcmsim_tracegen.trace");
   const std::string source_kind = args.get("source", "sampled");
   const auto expect_checksum = args.get_int("expect_checksum", -1);
-  if (source_kind != "sampled" && source_kind != "legacy" && source_kind != "file") {
-    std::cerr << "--source must be 'sampled', 'legacy' or 'file'\n";
+  if (source_kind != "sampled" && source_kind != "file") {
+    std::cerr << "--source must be 'sampled' or 'file'\n";
     return 1;
   }
   const std::size_t per_app = events / std::size(kApps);
@@ -122,15 +113,8 @@ int main(int argc, char** argv) {
             << "\",\n";
 
   // --- Stage 1: generation throughput, per app -----------------------------
-  // Default: the sampled source only (what every run now uses). `--source
-  // legacy` additionally times the quarantined generator and reports the
-  // speedup ratios the migration bought. The checksum folds only the sampled
-  // streams so the gate value is identical for both modes.
   if (source_kind != "file") {
-    const bool with_legacy = source_kind == "legacy";
-    double legacy_ticks = 0;
     double sampled_ticks = 0;
-    double legacy_ns = 0;
     double sampled_ns = 0;
     std::cout << "  \"apps\": {";
     bool first = true;
@@ -143,31 +127,14 @@ int main(int argc, char** argv) {
       checksum = mix64(checksum ^ mix64(sr.checksum));
       std::cout << (first ? "" : ",") << "\n    \"" << app_name << "\": {"
                 << "\"sampled_ticks_per_event\": " << sr.ticks_per_event
-                << ", \"sampled_ns_per_event\": " << sr.ns_per_event;
-      if (with_legacy) {
-        GeneratorTraceSource legacy(app, lines, seed);
-        const SourceRun lr = run_source(legacy, per_app);
-        legacy_ticks += lr.ticks_per_event;
-        legacy_ns += lr.ns_per_event;
-        std::cout << ", \"legacy_ticks_per_event\": " << lr.ticks_per_event
-                  << ", \"legacy_ns_per_event\": " << lr.ns_per_event;
-      }
-      std::cout << "}";
+                << ", \"sampled_ns_per_event\": " << sr.ns_per_event << "}";
       first = false;
     }
     const double napps = static_cast<double>(std::size(kApps));
     std::cout << "\n  },\n"
               << "  \"sampled_ticks_per_event\": " << sampled_ticks / napps << ",\n"
-              << "  \"sampled_ns_per_event\": " << sampled_ns / napps << ",\n";
-    if (with_legacy) {
-      std::cout << "  \"legacy_ticks_per_event\": " << legacy_ticks / napps << ",\n"
-                << "  \"legacy_ns_per_event\": " << legacy_ns / napps << ",\n"
-                << "  \"tick_speedup\": "
-                << (sampled_ticks > 0 ? legacy_ticks / sampled_ticks : 0.0) << ",\n"
-                << "  \"ns_speedup\": "
-                << (sampled_ns > 0 ? legacy_ns / sampled_ns : 0.0) << ",\n";
-    }
-    std::cout << "  \"profile_compiled\": " << (prof::kCompiled ? "true" : "false")
+              << "  \"sampled_ns_per_event\": " << sampled_ns / napps << ",\n"
+              << "  \"profile_compiled\": " << (prof::kCompiled ? "true" : "false")
               << ",\n";
   }
 
@@ -294,4 +261,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+} catch (const std::exception& e) {
+  return cli_error(e);
 }

@@ -26,7 +26,6 @@
 #include "core/system.hpp"
 #include "pcm/flip_n_write.hpp"
 #include "trace/sampled_source.hpp"
-#include "workload/trace.hpp"
 
 using namespace pcmsim;
 
@@ -52,7 +51,7 @@ double place_ns_per_find(std::size_t faults_per_line, std::uint64_t seed) {
       array.inject_fault(line, rng.next_below(kBlockBits), rng.next_bool(0.5));
     }
   }
-  const auto scheme = make_scheme(EccKind::kEcp6);
+  const auto scheme = make_scheme("ecp6");
   const WindowPlacer placer(*scheme);
   constexpr std::size_t kIters = 200;
   std::size_t sink = 0;
@@ -71,8 +70,8 @@ double place_ns_per_find(std::size_t faults_per_line, std::uint64_t seed) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+int main(int argc, char** argv) try {
+  const CliArgs args(argc, argv, {"expect_checksum", "lines", "profile", "seed", "writes"});
   const auto writes = static_cast<std::size_t>(args.get_int("writes", 200000));
   const auto lines = static_cast<std::uint64_t>(args.get_int("lines", 4096));
   const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
@@ -186,4 +185,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+} catch (const std::exception& e) {
+  return cli_error(e);
 }

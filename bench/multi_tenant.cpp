@@ -46,8 +46,11 @@ std::vector<AppProfile> parse_apps(const std::string& csv) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+int main(int argc, char** argv) try {
+  const CliArgs args(argc, argv, {"apps", "channels", "cov", "endurance", "events",
+                                  "expect_checksum", "gap_cycles", "lines", "prefetch",
+                                  "queue_capacity", "seed", "shards", "tenant_batch", "tenants",
+                                  "threads", "tier-kb", "tier-policy"});
   const std::size_t threads = set_threads_from_cli(args);
 
   const auto tenants = static_cast<std::uint32_t>(args.get_int("tenants", 16));
@@ -172,4 +175,6 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+} catch (const std::exception& e) {
+  return cli_error(e);
 }

@@ -105,8 +105,8 @@ double run_stream(const AppProfile& app, const Mix& mix, bool with_decompression
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+int main(int argc, char** argv) try {
+  const CliArgs args(argc, argv, {"csv", "cycles", "seed", "threads"});
   set_threads_from_cli(args);
   const ScopedTimer timer("sec5b_perf_overhead");
   const auto cycles = static_cast<std::uint64_t>(args.get_int("cycles", 2000000));
@@ -166,4 +166,6 @@ int main(int argc, char** argv) {
                  "slowdown < 0.3%.\n";
   }
   return 0;
+} catch (const std::exception& e) {
+  return cli_error(e);
 }

@@ -19,8 +19,9 @@
 
 using namespace pcmsim;
 
-int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+int main(int argc, char** argv) try {
+  const CliArgs args(argc, argv, {"csv", "instructions", "lines", "seed", "tier-kb",
+                                  "tier-policy"});
   const auto instructions = static_cast<std::uint64_t>(args.get_int("instructions", 400000));
   const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 3));
   const auto tier_kb = static_cast<std::size_t>(args.get_int("tier-kb", 0));
@@ -91,4 +92,6 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+} catch (const std::exception& e) {
+  return cli_error(e);
 }

@@ -11,8 +11,8 @@
 
 using namespace pcmsim;
 
-int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+int main(int argc, char** argv) try {
+  const CliArgs args(argc, argv, {"csv", "fast", "ipc", "paper", "seed", "threads"});
   set_threads_from_cli(args);
   const ScopedTimer timer("table4_months");
   auto scale = ExperimentScale::from_flag(
@@ -53,4 +53,6 @@ int main(int argc, char** argv) {
                  "x (2^26 / lines_sim) region, / (WPKI x 16 cores x 2.5 GHz x IPC).\n";
   }
   return 0;
+} catch (const std::exception& e) {
+  return cli_error(e);
 }

@@ -25,8 +25,8 @@ bool legal_combo(const SchemeTraits& traits, SystemMode mode) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+int main(int argc, char** argv) try {
+  const CliArgs args(argc, argv, {"app", "endurance", "lines"});
   const std::string app_name = args.get("app", "gcc");
   const AppProfile& app = profile_by_name(app_name);
 
@@ -72,4 +72,6 @@ int main(int argc, char** argv) {
   std::cout << "Stronger partition-based schemes pay off most once compression\n"
             << "collocates the faults (Comp+WF rows; paper Section III-A.4).\n";
   return 0;
+} catch (const std::exception& e) {
+  return cli_error(e);
 }

@@ -18,8 +18,8 @@
 
 using namespace pcmsim;
 
-int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+int main(int argc, char** argv) try {
+  const CliArgs args(argc, argv, {"faults", "seed"});
   const auto nfaults = static_cast<std::size_t>(args.get_int("faults", 40));
   Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 9)));
 
@@ -73,4 +73,6 @@ int main(int argc, char** argv) {
             << "window of its own size — that is why compression multiplies the\n"
             << "tolerable fault count (paper Fig 9/12).\n";
   return 0;
+} catch (const std::exception& e) {
+  return cli_error(e);
 }

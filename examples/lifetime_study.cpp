@@ -5,12 +5,9 @@
 //   ./build/examples/lifetime_study --app milc [--endurance 600] [--lines 768]
 //
 // The write-back stream is selectable:
-//   (default)          the batched SampledTraceSource (statistically
-//                      calibrated against the legacy generator, ~4x+ cheaper
-//                      per event)
-//   --source legacy    the original TraceGenerator (bit-identical to PR <= 4
-//                      runs; the quarantined calibration oracle)
-//   --trace FILE       loop a captured v1/v2 trace file (values re-versioned
+//   (default)          the batched SampledTraceSource, calibrated against
+//                      Table III and Fig 6
+//   --trace FILE       loop a captured v2 trace file (values re-versioned
 //                      each pass so differential writes keep flipping cells)
 //   --decode parallel  fan v2 chunk decode over the thread pool (--trace only;
 //                      byte-identical stream, lower decode latency)
@@ -141,8 +138,11 @@ int run_multi_tenant(const CliArgs& args) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+int main(int argc, char** argv) try {
+  const CliArgs args(argc, argv, {"app", "apps", "channels", "cov", "decode", "ecc", "endurance",
+                                  "events", "gap_cycles", "lines", "prefetch", "profile", "seed",
+                                  "shards", "tenants", "threads", "tier-kb", "tier-policy",
+                                  "trace"});
   set_threads_from_cli(args);
   if (args.has("tenants") || args.has("shards")) return run_multi_tenant(args);
   if (args.get_bool("profile")) prof::set_enabled(true);
@@ -165,7 +165,6 @@ int main(int argc, char** argv) {
   lc.system.ecc_spec = ecc_spec;
 
   const std::string trace_path = args.get("trace", "");
-  const std::string source_kind = args.get("source", "sampled");
   const std::string decode_kind = args.get("decode", "serial");
   expects(decode_kind == "serial" || decode_kind == "parallel",
           "--decode must be 'serial' or 'parallel'");
@@ -179,8 +178,6 @@ int main(int argc, char** argv) {
   if (!trace_path.empty()) {
     std::cout << "Source: looped trace replay of " << trace_path << " (" << decode_kind
               << " decode)\n";
-  } else if (source_kind == "legacy") {
-    std::cout << "Source: legacy TraceGenerator (calibration oracle)\n";
   }
   if (lc.prefetch) std::cout << "Prefetch: background batch fill enabled\n";
   if (lc.tier.enabled()) {
@@ -215,10 +212,6 @@ int main(int argc, char** argv) {
       LoopedFileTraceSource source(trace_path, decode);
       return run_lifetime(source, run_lc);
     }
-    if (source_kind == "legacy") {
-      return run_lifetime_legacy(app, run_lc, 42);
-    }
-    expects(source_kind == "sampled", "--source must be 'sampled' or 'legacy'");
     // run_lifetime's default path constructs the sampled source folded onto
     // system.logical_lines() (device.lines - 1: StartGap keeps a spare slot).
     return run_lifetime(app, run_lc, 42);
@@ -271,4 +264,6 @@ int main(int argc, char** argv) {
     std::cout << "\n";
   }
   return 0;
+} catch (const std::exception& e) {
+  return cli_error(e);
 }

@@ -25,8 +25,8 @@
 
 using namespace pcmsim;
 
-int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+int main(int argc, char** argv) try {
+  const CliArgs args(argc, argv, {"app", "instructions", "keep", "out"});
   const std::string app_name = args.get("app", "gcc");
   const auto instructions = static_cast<std::uint64_t>(args.get_int("instructions", 60000));
   const std::string path = args.get("out", "/tmp/pcmsim_" + app_name + ".trace");
@@ -91,4 +91,6 @@ int main(int argc, char** argv) {
 
   if (!keep) std::remove(path.c_str());
   return 0;
+} catch (const std::exception& e) {
+  return cli_error(e);
 }

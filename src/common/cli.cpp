@@ -1,5 +1,7 @@
 #include "common/cli.hpp"
 
+#include <charconv>
+#include <iostream>
 #include <stdexcept>
 
 namespace pcmsim {
@@ -8,10 +10,26 @@ namespace {
 
 bool looks_like_key(const std::string& s) { return s.rfind("--", 0) == 0 && s.size() > 2; }
 
+[[noreturn]] void bad_value(const std::string& key, const std::string& value,
+                            const char* expected) {
+  throw std::invalid_argument("--" + key + ": expected " + expected + ", got '" + value + "'");
+}
+
+/// Parses all of `value` as a T, or throws naming the flag.
+template <typename T>
+T parse_number(const std::string& key, const std::string& value, const char* expected) {
+  T out{};
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  if (value.empty() || ec != std::errc{} || ptr != end) bad_value(key, value, expected);
+  return out;
+}
+
 }  // namespace
 
-CliArgs::CliArgs(int argc, const char* const* argv) {
-  program_ = argc > 0 ? argv[0] : "";
+CliArgs::CliArgs(int argc, const char* const* argv,
+                 std::initializer_list<std::string_view> flags)
+    : declared_(flags.begin(), flags.end()) {
   for (int i = 1; i < argc; ++i) {
     std::string tok = argv[i];
     if (!looks_like_key(tok)) {
@@ -19,40 +37,59 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
     }
     tok = tok.substr(2);
     const auto eq = tok.find('=');
-    if (eq != std::string::npos) {
-      kv_[tok.substr(0, eq)] = tok.substr(eq + 1);
-      continue;
+    std::string key = tok.substr(0, eq);
+    if (declared_.count(key) == 0) {
+      std::string known;
+      for (const auto& flag : declared_) known += " --" + flag;
+      throw std::invalid_argument("unknown flag --" + key + " (accepted:" + known + ")");
     }
-    // `--key value` when the next token is not itself a key; else a bare flag.
-    if (i + 1 < argc && !looks_like_key(argv[i + 1])) {
-      kv_[tok] = argv[++i];
+    if (eq != std::string::npos) {
+      kv_[key] = tok.substr(eq + 1);
+    } else if (i + 1 < argc && !looks_like_key(argv[i + 1])) {
+      // `--key value` when the next token is not itself a key; else a bare flag.
+      kv_[key] = argv[++i];
     } else {
-      kv_[tok] = "";
+      kv_[key] = "";
     }
   }
 }
 
-bool CliArgs::has(const std::string& key) const { return kv_.count(key) > 0; }
+const std::string* CliArgs::find(const std::string& key) const {
+  if (declared_.count(key) == 0) {
+    throw std::logic_error("flag --" + key + " is read but was not declared");
+  }
+  const auto it = kv_.find(key);
+  return it == kv_.end() ? nullptr : &it->second;
+}
+
+bool CliArgs::has(const std::string& key) const { return find(key) != nullptr; }
 
 std::string CliArgs::get(const std::string& key, const std::string& dflt) const {
-  const auto it = kv_.find(key);
-  return it == kv_.end() ? dflt : it->second;
+  const std::string* v = find(key);
+  return v ? *v : dflt;
 }
 
 std::int64_t CliArgs::get_int(const std::string& key, std::int64_t dflt) const {
-  const auto it = kv_.find(key);
-  return it == kv_.end() ? dflt : std::stoll(it->second);
+  const std::string* v = find(key);
+  return v ? parse_number<std::int64_t>(key, *v, "an integer") : dflt;
 }
 
 double CliArgs::get_double(const std::string& key, double dflt) const {
-  const auto it = kv_.find(key);
-  return it == kv_.end() ? dflt : std::stod(it->second);
+  const std::string* v = find(key);
+  return v ? parse_number<double>(key, *v, "a number") : dflt;
 }
 
 bool CliArgs::get_bool(const std::string& key, bool dflt) const {
-  const auto it = kv_.find(key);
-  if (it == kv_.end()) return dflt;
-  return it->second.empty() || it->second == "1" || it->second == "true";
+  const std::string* v = find(key);
+  if (!v) return dflt;
+  if (v->empty() || *v == "1" || *v == "true") return true;
+  if (*v == "0" || *v == "false") return false;
+  bad_value(key, *v, "true/false");
+}
+
+int cli_error(const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 2;
 }
 
 }  // namespace pcmsim

@@ -1,32 +1,49 @@
 // Minimal command-line option parsing shared by the bench/example binaries.
 //
-// Supports `--flag`, `--key value` and `--key=value` forms; anything else is
-// rejected so typos surface instead of silently running a default experiment.
+// Supports `--flag`, `--key value` and `--key=value` forms. Each binary
+// declares its flag names once, when it builds CliArgs; a stray positional,
+// an undeclared flag, or a value its getter cannot parse in full is rejected
+// with an error naming the flag, so typos surface instead of silently running
+// a default experiment.
 #pragma once
 
 #include <cstdint>
+#include <exception>
+#include <initializer_list>
 #include <map>
+#include <set>
 #include <string>
+#include <string_view>
 
 namespace pcmsim {
 
 class CliArgs {
  public:
-  /// Parses argv; throws std::invalid_argument on malformed input.
-  CliArgs(int argc, const char* const* argv);
+  /// Parses argv against the declared `flags` (names without the leading
+  /// "--"); throws std::invalid_argument on malformed input or an undeclared
+  /// flag.
+  CliArgs(int argc, const char* const* argv, std::initializer_list<std::string_view> flags);
 
+  /// Getters throw std::invalid_argument, naming the flag, when a present
+  /// value does not parse in full. Reading a flag that was never declared is
+  /// a programming error (std::logic_error).
   [[nodiscard]] bool has(const std::string& key) const;
   [[nodiscard]] std::string get(const std::string& key, const std::string& dflt) const;
   [[nodiscard]] std::int64_t get_int(const std::string& key, std::int64_t dflt) const;
   [[nodiscard]] double get_double(const std::string& key, double dflt) const;
+  /// A bare `--flag`, "1" or "true" is true; "0" or "false" is false.
   [[nodiscard]] bool get_bool(const std::string& key, bool dflt = false) const;
 
-  /// Name of the binary (argv[0]).
-  [[nodiscard]] const std::string& program() const { return program_; }
-
  private:
-  std::string program_;
+  [[nodiscard]] const std::string* find(const std::string& key) const;
+
+  std::set<std::string> declared_;
   std::map<std::string, std::string> kv_;
 };
+
+/// Reports `e` on stderr and returns the exit status of a failed run, so a
+/// binary's `main` can end in `catch (const std::exception& e) { return
+/// cli_error(e); }` instead of terminating on a bad flag.
+int cli_error(const std::exception& e);
 
 }  // namespace pcmsim

@@ -40,6 +40,14 @@ std::int64_t sign_extend(std::uint64_t v, std::size_t bytes) {
   return static_cast<std::int64_t>(x);
 }
 
+/// word - base modulo 2^64. BDI deltas are modular (decompression adds them
+/// back modulo 2^64), and for 8-byte words the signed difference can
+/// overflow, so subtract in uint64_t.
+std::int64_t wrapping_delta(std::int64_t word, std::int64_t base) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(word) -
+                                   static_cast<std::uint64_t>(base));
+}
+
 /// True when `delta` survives truncation to `bytes` bytes and sign extension.
 bool fits_signed(std::int64_t delta, std::size_t bytes) {
   if (bytes >= 8) return true;
@@ -138,7 +146,7 @@ std::optional<CompressedBlock> BdiCompressor::compress_with_layout(const Block& 
         base = load_word(block, i, k);
         base_value = sign_extend(base, k);
       }
-      delta = word - base_value;
+      delta = wrapping_delta(word, base_value);
       if (!fits_signed(delta, d)) return std::nullopt;
       uses_base |= 1ull << i;
     }
@@ -177,7 +185,7 @@ bool BdiCompressor::layout_applies(const Block& block, BdiLayout layout) {
       base_value = word;  // the base's own delta is 0
       continue;
     }
-    if (!fits_signed(word - base_value, d)) return false;
+    if (!fits_signed(wrapping_delta(word, base_value), d)) return false;
   }
   return true;
 }

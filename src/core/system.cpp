@@ -57,7 +57,7 @@ PcmSystem::PcmSystem(const SystemConfig& config)
       startgap_(config.device.lines - 1, config.gap_interval, config.startgap_randomize,
                 config.seed),
       rotator_(config.banks, auto_rotation_threshold(config), config.rotation_step_bytes),
-      scheme_(make_scheme(config.resolved_ecc_spec())),
+      scheme_(make_scheme(config.ecc_spec)),
       placer_(*scheme_),
       lines_(config.device.lines) {
   expects(config.device.lines >= 2, "need at least one logical line plus the gap");
@@ -394,11 +394,13 @@ void PcmSystem::handle_gap_move(const StartGap::GapMove& move) {
   if (!content.ever_written) return;
 
   // Read the stored image out of `from` and restore it into `to`. In
-  // functional mode decode first so the destination re-encodes cleanly.
+  // functional mode decode first so the destination re-encodes cleanly. A
+  // dead line's content was already lost (an uncorrectable event); it moves
+  // as raw cells, since its faults may exceed what the scheme can decode.
   InlineBytes image;
   image.resize(content.size_bytes);
   read_window_image(array_, move.from, content.start_byte, content.size_bytes, image);
-  if (config_.functional_verify) {
+  if (config_.functional_verify && !content.dead) {
     WindowFaultBuffer fault_buf;
     const auto faults =
         window_faults_into(array_, move.from, content.start_byte, content.size_bytes, fault_buf);

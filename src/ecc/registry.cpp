@@ -128,19 +128,4 @@ SchemeTraits scheme_traits(std::string_view spec) {
   return make_scheme(spec)->traits();
 }
 
-std::string_view canonical_spec(EccKind kind) {
-  switch (kind) {
-    case EccKind::kEcp6: return "ecp6";
-    case EccKind::kSafer32: return "safer32";
-    case EccKind::kAegis17x31: return "aegis17x31";
-    case EccKind::kSecded: return "secded";
-  }
-  expects(false, "unknown ECC kind");
-  return "";
-}
-
-std::unique_ptr<HardErrorScheme> make_scheme(EccKind kind) {
-  return make_scheme(canonical_spec(kind));
-}
-
 }  // namespace pcmsim

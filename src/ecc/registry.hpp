@@ -23,12 +23,6 @@
 
 namespace pcmsim {
 
-/// Deprecated: the closed pre-registry scheme enum, kept only as a compat
-/// shim for older config structs and bench flags. New code should pass a
-/// spec string (SystemConfig::ecc_spec / make_scheme(spec)); each enumerator
-/// maps onto its canonical spec via canonical_spec().
-enum class EccKind : std::uint8_t { kEcp6, kSafer32, kAegis17x31, kSecded };
-
 /// One registered (canonical) scheme spec. `name` and `traits` are static
 /// snapshots of the constructed scheme's name()/traits() — equality is
 /// enforced by the registry round-trip test — so callers can print tables or
@@ -57,11 +51,5 @@ struct SchemeSpecInfo {
 /// Traits of `spec` without keeping the scheme: canonical specs answer from
 /// the registry table; other valid specs construct once.
 [[nodiscard]] SchemeTraits scheme_traits(std::string_view spec);
-
-/// Compat shim: canonical spec string of a legacy EccKind.
-[[nodiscard]] std::string_view canonical_spec(EccKind kind);
-
-/// Compat shim: builds the scheme selected by a legacy EccKind.
-[[nodiscard]] std::unique_ptr<HardErrorScheme> make_scheme(EccKind kind);
 
 }  // namespace pcmsim

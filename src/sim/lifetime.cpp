@@ -114,13 +114,6 @@ LifetimeResult run_lifetime(const AppProfile& app, const LifetimeConfig& config,
   return run_lifetime_on(system, source, config);
 }
 
-LifetimeResult run_lifetime_legacy(const AppProfile& app, const LifetimeConfig& config,
-                                   std::uint64_t trace_seed) {
-  PcmSystem system(config.system);
-  GeneratorTraceSource source(app, system.logical_lines(), trace_seed);
-  return run_lifetime_on(system, source, config);
-}
-
 double lifetime_months(const LifetimeResult& result, const LifetimeConfig& config,
                        const AppProfile& app, const MonthsModel& model) {
   // Writes the full-size memory would absorb before 50% capacity death:

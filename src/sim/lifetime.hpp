@@ -14,7 +14,6 @@
 #include "core/system.hpp"
 #include "tier/front_tier.hpp"
 #include "workload/app_profile.hpp"
-#include "workload/trace.hpp"
 
 namespace pcmsim {
 
@@ -63,24 +62,12 @@ struct LifetimeResult {
 
 class TraceSource;
 
-/// Runs one workload on one system configuration to end of life.
-/// Drives the system with the calibrated SampledTraceSource stream — the
-/// default trace path for every figure/table bench. The sampled stream is
-/// statistically equivalent to the legacy generator (the calibration tests
-/// pin rank distribution, value classes, and flip rates) but not
-/// bit-identical to it; figure outputs were re-pinned when the default
-/// flipped. Generation cost is ~4.6x cheaper than the legacy walk.
+/// Runs one workload on one system configuration to end of life, driven by
+/// the calibrated SampledTraceSource stream (trace/sampled_source.hpp)
+/// folded onto the region's logical lines — the trace path of every
+/// figure/table bench.
 [[nodiscard]] LifetimeResult run_lifetime(const AppProfile& app, const LifetimeConfig& config,
                                           std::uint64_t trace_seed);
-
-/// The quarantined legacy path: drives the system with the original
-/// TraceGenerator stream (via GeneratorTraceSource), bit-identical to the
-/// pre-migration per-event loop. Reachable only through explicit opt-in
-/// (`--source legacy` in the examples/benches); kept as the calibration
-/// oracle the sampled source is validated against.
-[[nodiscard]] LifetimeResult run_lifetime_legacy(const AppProfile& app,
-                                                 const LifetimeConfig& config,
-                                                 std::uint64_t trace_seed);
 
 /// Same simulation driven by an arbitrary source (sampled, file replay,
 /// looped replay). A finite source that runs dry before failure reports

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 
 #include "common/assert.hpp"
 #include "common/parallel.hpp"
@@ -10,31 +9,13 @@
 
 namespace pcmsim {
 
-std::uint64_t trace_file_magic(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  expects(in.good(), "cannot open trace file for reading");
-  std::uint64_t magic = 0;
-  in.read(reinterpret_cast<char*>(&magic), 8);
-  return in.good() ? magic : 0;
-}
-
-FileTraceSource::FileTraceSource(const std::string& path, TraceDecode decode)
-    : path_(path), decode_(decode) {
-  const std::uint64_t magic = trace_file_magic(path);
-  if (magic == kTraceV2Magic) {
-    if (decode_ == TraceDecode::kParallel) {
-      index_ = std::make_shared<const TraceFileIndex>(path_);
-      total_records_ = index_->total_records();
-    } else {
-      v2_.emplace(path_);
-      total_records_ = v2_->total_records();
-    }
-  } else if (magic == kTraceV1Magic) {
-    decode_ = TraceDecode::kSerial;  // v1 has no chunk structure to fan out
-    v1_.emplace(path_);
-    total_records_ = v1_->count();
+FileTraceSource::FileTraceSource(const std::string& path, TraceDecode decode) {
+  if (decode == TraceDecode::kParallel) {
+    index_ = std::make_shared<const TraceFileIndex>(path);
+    total_records_ = index_->total_records();
   } else {
-    expects(false, "unrecognized trace file magic (neither v1 nor v2)");
+    serial_.emplace(path);
+    total_records_ = serial_->total_records();
   }
 }
 
@@ -62,7 +43,7 @@ void FileTraceSource::decode_next_window() {
 
 std::size_t FileTraceSource::next_batch(std::span<WritebackEvent> out) {
   std::size_t n = 0;
-  if (index_) {  // v2, parallel window decode with in-order reassembly
+  if (index_) {  // parallel window decode with in-order reassembly
     while (n < out.size()) {
       if (window_chunk_pos_ >= window_chunks_) {
         if (next_chunk_ >= index_->chunk_count()) break;
@@ -80,14 +61,8 @@ std::size_t FileTraceSource::next_batch(std::span<WritebackEvent> out) {
         window_event_pos_ = 0;
       }
     }
-  } else if (v2_) {
-    while (n < out.size() && v2_->next(out[n])) ++n;
   } else {
-    while (n < out.size()) {
-      const auto ev = v1_->next();
-      if (!ev) break;
-      out[n++] = *ev;
-    }
+    while (n < out.size() && serial_->next(out[n])) ++n;
   }
   events_ += n;
   return n;
@@ -99,10 +74,8 @@ void FileTraceSource::reset() {
     window_chunks_ = 0;
     window_chunk_pos_ = 0;
     window_event_pos_ = 0;
-  } else if (v2_) {
-    v2_->reset();
   } else {
-    v1_.emplace(path_);  // v1 reader has no rewind; reopen
+    serial_->reset();
   }
   events_ = 0;
 }

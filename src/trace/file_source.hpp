@@ -1,13 +1,13 @@
 // Replay of on-disk trace captures through the TraceSource interface.
 //
-// FileTraceSource auto-detects the container by magic: legacy v1
-// ("PCMTRACE", fixed 72-byte records) or chunked v2 ("PCMTRC2\0",
-// trace_file.hpp). Both replay the identical event stream a capture recorded.
+// FileTraceSource replays the event stream a chunked v2 capture
+// (trace_file.hpp) recorded. Opening validates the container, so a file that
+// is not v2 (wrong magic, truncated, corrupt directory) is a ContractViolation
+// at construction.
 //
 // v2 chunks are independently decodable, so the source offers two decode
 // modes:
-//   * TraceDecode::kSerial   — one TraceChunkDecoder streams chunks in order
-//     (the original path; v1 files always use this).
+//   * TraceDecode::kSerial   — one TraceChunkDecoder streams chunks in order.
 //   * TraceDecode::kParallel — a window of upcoming chunks is fanned out over
 //     the deterministic parallel engine (common/parallel.hpp), one
 //     slot-pinned TraceChunkDecoder per window slot (own ifstream, varint
@@ -40,13 +40,10 @@
 
 namespace pcmsim {
 
-/// Reads the leading 8-byte magic of `path` (0 if the file is too short).
-[[nodiscard]] std::uint64_t trace_file_magic(const std::string& path);
-
 /// How FileTraceSource turns v2 chunks back into events (see file header).
 enum class TraceDecode { kSerial, kParallel };
 
-/// Finite replay of a v1 or v2 trace file. next_batch() underfills at end of
+/// Finite replay of a v2 trace file. next_batch() underfills at end of
 /// trace and returns 0 thereafter; reset() rewinds to the first record.
 class FileTraceSource final : public TraceSource {
  public:
@@ -62,17 +59,11 @@ class FileTraceSource final : public TraceSource {
   /// Records stored in the file (one full pass).
   [[nodiscard]] std::uint64_t total_records() const { return total_records_; }
 
-  /// The decode mode actually in effect (v1 files fall back to kSerial).
-  [[nodiscard]] TraceDecode decode_mode() const { return decode_; }
-
  private:
   void decode_next_window();
 
-  std::string path_;
-  TraceDecode decode_ = TraceDecode::kSerial;
-  std::optional<TraceReader> v1_;  // v1 files: streaming reader (serial only)
-  std::optional<TraceFileReader> v2_;  // v2 serial: streaming reader
-  // v2 parallel: shared index + slot-pinned decoders + in-order window.
+  std::optional<TraceFileReader> serial_;  // kSerial: streaming reader
+  // kParallel: shared index + slot-pinned decoders + in-order window.
   std::shared_ptr<const TraceFileIndex> index_;
   std::vector<std::unique_ptr<TraceChunkDecoder>> decoders_;
   std::vector<std::vector<WritebackEvent>> window_;  ///< decoded chunks, in order

@@ -11,8 +11,8 @@
 // consumer strictly in fill order, so batch boundaries are the only thing
 // that changes. Every source in this repo produces a stream independent of
 // how it is batched (SampledTraceSource splits its RNG streams for exactly
-// this reason; file replay and the legacy generator are per-event
-// deterministic), which is the property the decorator relies on.
+// this reason; file replay is per-event deterministic), which is the
+// property the decorator relies on.
 //
 // Profiling: the inner source's generation cost still lands in kTraceGen,
 // but it now accrues on the worker thread, overlapped with write execution.

@@ -1,25 +1,28 @@
-// Batched rewrite-pattern sampler: the fast synthetic write-back source.
+// Batched rewrite-pattern sampler: the synthetic write-back source.
 //
-// TraceGenerator (workload/trace.hpp) pays three per-event costs that this
-// class removes while keeping the workload model:
-//   1. an unordered_map lookup per event        -> flat arrays indexed by the
-//      folded line (the region is small by construction: traces fold the
-//      app's working set onto the simulated PCM region);
-//   2. an O(log n) binary search over a multi-MB Zipf CDF (cache-missing)
-//      -> an O(1) Walker/Vose alias table, built once per app;
-//   3. full value resynthesis per event (up to ~16 hashed word writes)
-//      -> cached static base + current blocks per line, advanced one version
+// The workload model (workload/app_profile.hpp, workload/value_model.hpp):
+// each event draws a Zipf popularity rank, folds it onto the region with
+// fold_rank (trace/event.hpp), and rewrites that line's value. A line's value
+// class comes from ClassAssigner, its first shape from initial_line_shape,
+// and each rewrite bumps its version or, with probability
+// shape_redraw_prob, redraws its shape. The value is the pure function
+// generate_value(class, line, shape, version).
+//
+// Three implementation choices keep the per-event cost low:
+//   1. flat arrays indexed by the folded line (the region is small by
+//      construction: traces fold the app's working set onto the simulated
+//      PCM region) instead of a map;
+//   2. an O(1) Walker/Vose alias table over the Zipf pmf, built once per app,
+//      instead of a binary search over a multi-MB CDF;
+//   3. cached static base + current blocks per line, advanced one version
 //      incrementally via value_model's apply_dynamic (revert the previous
-//      version's touched words, apply the new overlay).
+//      version's touched words, apply the new overlay) instead of full value
+//      resynthesis per event.
 //
-// Calibration contract: the sampler shares fold_rank/initial_line_shape/
-// ClassAssigner with TraceGenerator, so per-line value classes, shapes and
-// the (line, shape, version) -> Block value function are *identical*; the
-// Zipf alias table draws from the same popularity pmf; shape redraws use the
-// same per-rewrite probability. Only the RNG consumption order differs, so
-// the two sources are statistically equivalent (asserted by
-// tests/trace_sampler_test.cpp) but not bit-identical streams — figure
-// benches that pin stdout keep GeneratorTraceSource.
+// tests/trace_sampler_test.cpp checks the stream against the model's own
+// definitions (ZipfSampler::pmf folded through fold_rank, ClassAssigner::of,
+// shape_redraw_prob, the set of lines fold_rank reaches); workload_test pins
+// it to Table III compression ratios and the Fig-6 volatility ranking.
 #pragma once
 
 #include <span>
@@ -35,7 +38,7 @@ namespace pcmsim {
 class SampledTraceSource final : public TraceSource {
  public:
   /// `region_lines` folds the app's working set onto the simulated PCM
-  /// region, exactly as TraceGenerator does. Memory is O(region_lines)
+  /// region (fold_rank). Memory is O(region_lines)
   /// for the cached per-line blocks plus O(working_set_lines) for the
   /// alias table.
   SampledTraceSource(const AppProfile& app, std::uint64_t region_lines, std::uint64_t seed);
@@ -50,14 +53,13 @@ class SampledTraceSource final : public TraceSource {
   [[nodiscard]] const AppProfile& app() const { return app_; }
   [[nodiscard]] std::uint64_t region_lines() const { return region_lines_; }
 
-  /// The value class governing `line`'s contents (same assignment as
-  /// TraceGenerator::class_of at equal seed).
+  /// The value class governing `line`'s contents (ClassAssigner::of).
   [[nodiscard]] const ValueClassSpec& class_of(LineAddr line) const;
 
   /// Value most recently produced for `line` (all-zero if never written).
   [[nodiscard]] Block current_value(LineAddr line) const;
 
-  /// Calibration introspection (compared against TraceGenerator).
+  /// Calibration introspection (tests/trace_sampler_test.cpp).
   [[nodiscard]] std::uint64_t shape_redraws() const { return shape_redraws_; }
   [[nodiscard]] std::uint64_t touched_lines() const { return touched_lines_; }
 

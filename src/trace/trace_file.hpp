@@ -18,10 +18,10 @@
 //           u8 image_size (1..63) and the BestOf compressed image.
 //
 // Values run through the repo's own BestOfCompressor plan/materialize
-// pipeline, so compressible workloads store 3-20x smaller than v1's fixed
-// 72 B/record. Every chunk carries its own CRC32 and record count; the
-// trailing directory (itself CRC'd, located via the fixed-size footer) makes
-// chunks independently addressable.
+// pipeline, so compressible workloads store 3-20x smaller than the raw
+// 72 B/record (8-byte address + 64-byte value). Every chunk carries its own
+// CRC32 and record count; the trailing directory (itself CRC'd, located via
+// the fixed-size footer) makes chunks independently addressable.
 //
 // The read side is split along the parallel-decode seam:
 //   * TraceFileIndex — the validated, immutable view of the container (header
@@ -43,7 +43,7 @@
 #include <vector>
 
 #include "compression/best_of.hpp"
-#include "workload/trace.hpp"
+#include "trace/event.hpp"
 
 namespace pcmsim {
 

@@ -5,16 +5,10 @@
 // TraceSource is the simulator-facing seam for every way such a stream can be
 // produced:
 //   * SampledTraceSource (sampled_source.hpp) — the batched flat-state
-//     sampler, statistically calibrated against the legacy generator and
-//     ~4x+ cheaper per event. The default source for every figure/table
-//     bench and lifetime run.
-//   * GeneratorTraceSource — the original per-event TraceGenerator behind
-//     the batch interface. Quarantined: reachable only via explicit opt-in
-//     (`--source legacy` in lifetime_study / micro_tracegen,
-//     run_lifetime_legacy in code); kept as the calibration oracle the
-//     sampled source is validated against (tests/trace_sampler_test.cpp).
+//     synthetic sampler, calibrated against Table III and Fig 6. The source
+//     for every figure/table bench and lifetime run.
 //   * FileTraceSource / LoopedFileTraceSource (file_source.hpp) — replay of
-//     on-disk captures (v1 or chunked v2; v2 optionally chunk-parallel).
+//     on-disk v2 captures (trace_file.hpp; optionally chunk-parallel).
 //   * PrefetchTraceSource (prefetch_source.hpp) — decorator that fills the
 //     next batch on a background thread, overlapping generation/decode with
 //     the consumer's write execution.
@@ -24,13 +18,11 @@
 // independent of how it is batched — the decorators above rely on this.
 #pragma once
 
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "common/assert.hpp"
-#include "workload/app_profile.hpp"
-#include "workload/trace.hpp"
+#include "trace/event.hpp"
 
 namespace pcmsim {
 
@@ -86,35 +78,6 @@ class TraceCursor {
   std::vector<WritebackEvent> buf_;
   std::size_t pos_ = 0;
   std::size_t size_ = 0;
-};
-
-/// The legacy per-event TraceGenerator behind the TraceSource interface.
-/// Event content and ordering are bit-identical to calling
-/// TraceGenerator::next() in a loop. Quarantined to explicit `--source
-/// legacy` opt-ins; the calibration tests keep it honest as the oracle.
-class GeneratorTraceSource final : public TraceSource {
- public:
-  GeneratorTraceSource(const AppProfile& app, std::uint64_t region_lines, std::uint64_t seed)
-      : app_(app), region_lines_(region_lines), seed_(seed) {
-    gen_.emplace(app_, region_lines_, seed_);
-  }
-
-  std::size_t next_batch(std::span<WritebackEvent> out) override {
-    for (auto& ev : out) ev = gen_->next();
-    return out.size();
-  }
-
-  [[nodiscard]] std::uint64_t events() const override { return gen_->events(); }
-
-  void reset() override { gen_.emplace(app_, region_lines_, seed_); }
-
-  [[nodiscard]] const TraceGenerator& generator() const { return *gen_; }
-
- private:
-  AppProfile app_;  // owned copy: reset() re-constructs the generator from it
-  std::uint64_t region_lines_;
-  std::uint64_t seed_;
-  std::optional<TraceGenerator> gen_;  // optional: emplace() implements reset()
 };
 
 }  // namespace pcmsim

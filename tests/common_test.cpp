@@ -194,7 +194,7 @@ TEST(Table, RendersAlignedAndCsv) {
 
 TEST(Cli, ParsesFlagsAndValues) {
   const char* argv[] = {"prog", "--csv", "--writes", "100", "--rate=0.5", "--name", "milc"};
-  CliArgs args(7, argv);
+  CliArgs args(7, argv, {"csv", "writes", "rate", "name", "absent"});
   EXPECT_TRUE(args.get_bool("csv"));
   EXPECT_EQ(args.get_int("writes", 0), 100);
   EXPECT_DOUBLE_EQ(args.get_double("rate", 0), 0.5);
@@ -205,7 +205,67 @@ TEST(Cli, ParsesFlagsAndValues) {
 
 TEST(Cli, RejectsStrayPositionals) {
   const char* argv[] = {"prog", "oops"};
-  EXPECT_THROW(CliArgs(2, argv), std::invalid_argument);
+  EXPECT_THROW(CliArgs(2, argv, {}), std::invalid_argument);
+}
+
+/// The message of the std::invalid_argument `fn` throws ("" if none).
+template <typename Fn>
+std::string invalid_argument_message(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Cli, RejectsUndeclaredFlagByName) {
+  // A near miss of a declared flag (--tenant for --tenants) must not fall
+  // back to the default silently.
+  const char* argv[] = {"prog", "--tenant", "4"};
+  const std::string msg =
+      invalid_argument_message([&] { CliArgs args(3, argv, {"tenants", "events"}); });
+  EXPECT_NE(msg.find("--tenant "), std::string::npos) << msg;
+  EXPECT_NE(msg.find("--tenants"), std::string::npos) << msg;  // lists what is accepted
+
+  const char* eq_form[] = {"prog", "--source=legacy"};
+  EXPECT_THROW(CliArgs(2, eq_form, {"trace"}), std::invalid_argument);
+}
+
+TEST(Cli, NumericGettersConsumeTheWholeValue) {
+  const char* argv[] = {"prog", "--events", "12abc", "--rate", "0.5x", "--n", "abc",
+                        "--big", "99999999999999999999", "--empty="};
+  const CliArgs args(10, argv, {"events", "rate", "n", "big", "empty"});
+  for (const char* key : {"events", "n", "big", "empty"}) {
+    const std::string msg = invalid_argument_message([&] { (void)args.get_int(key, 0); });
+    EXPECT_NE(msg.find(std::string("--") + key), std::string::npos) << key << ": " << msg;
+  }
+  const std::string msg = invalid_argument_message([&] { (void)args.get_double("rate", 0); });
+  EXPECT_NE(msg.find("--rate"), std::string::npos) << msg;
+}
+
+TEST(Cli, ParsesSignedAndScientificNumbers) {
+  const char* argv[] = {"prog", "--threads", "-1", "--endurance", "1e7", "--cov=.25"};
+  const CliArgs args(6, argv, {"threads", "endurance", "cov"});
+  EXPECT_EQ(args.get_int("threads", 0), -1);
+  EXPECT_DOUBLE_EQ(args.get_double("endurance", 0), 1e7);
+  EXPECT_DOUBLE_EQ(args.get_double("cov", 0), 0.25);
+}
+
+TEST(Cli, BoolFlagsRejectUnknownValues) {
+  const char* argv[] = {"prog", "--csv", "out.csv", "--fast=0", "--prefetch", "true"};
+  const CliArgs args(6, argv, {"csv", "fast", "prefetch"});
+  EXPECT_FALSE(args.get_bool("fast", true));
+  EXPECT_TRUE(args.get_bool("prefetch"));
+  const std::string msg = invalid_argument_message([&] { (void)args.get_bool("csv"); });
+  EXPECT_NE(msg.find("--csv"), std::string::npos) << msg;
+}
+
+TEST(Cli, ReadingAnUndeclaredFlagIsAProgrammingError) {
+  const char* argv[] = {"prog"};
+  const CliArgs args(1, argv, {"writes"});
+  EXPECT_THROW((void)args.get_int("wirtes", 0), std::logic_error);
+  EXPECT_THROW((void)args.has("wirtes"), std::logic_error);
 }
 
 }  // namespace

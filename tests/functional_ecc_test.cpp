@@ -6,7 +6,7 @@
 #include <map>
 
 #include "core/system.hpp"
-#include "workload/trace.hpp"
+#include "trace/sampled_source.hpp"
 
 namespace pcmsim {
 namespace {
@@ -36,7 +36,8 @@ TEST_P(FunctionalSweep, ReadBackIsExactUnderWear) {
   PcmSystem sys(cfg);
 
   const auto& app = profile_by_name(param.app);
-  TraceGenerator gen(app, sys.logical_lines(), 31);
+  SampledTraceSource source(app, sys.logical_lines(), 31);
+  TraceCursor gen(source);
 
   std::map<LineAddr, Block> expected;
   for (int i = 0; i < 12000 && !sys.failed(); ++i) {
@@ -118,12 +119,12 @@ TEST(FunctionalEcc, CosetWithoutCompressionIsRejected) {
   EXPECT_THROW(PcmSystem sys(cfg), ContractViolation);
 }
 
-TEST(FunctionalEcc, LegacyEccKindStillSelectsTheSameScheme) {
+TEST(FunctionalEcc, DefaultConfigSelectsThePaperBaselineScheme) {
   SystemConfig cfg;
-  cfg.ecc = EccKind::kSafer32;  // deprecated enum path, no spec set
-  EXPECT_EQ(cfg.resolved_ecc_spec(), "safer32");
-  cfg.ecc_spec = "bch-t2";  // a non-empty spec wins over the enum
-  EXPECT_EQ(cfg.resolved_ecc_spec(), "bch-t2");
+  EXPECT_EQ(cfg.ecc_spec, "ecp6");
+  cfg.device.lines = 8;
+  const PcmSystem sys(cfg);
+  EXPECT_EQ(sys.scheme().name(), "ECP-6");
 }
 
 }  // namespace

@@ -11,7 +11,7 @@
 
 #include "compression/best_of.hpp"
 #include "core/heuristic.hpp"
-#include "workload/trace.hpp"
+#include "trace/sampled_source.hpp"
 
 namespace pcmsim {
 namespace {
@@ -44,7 +44,8 @@ WriteDecision step(const HeuristicConfig& cfg, LineState& st,
 void run_app(const std::string& app_name, const HeuristicConfig& cfg, int writes) {
   const AppProfile& app = profile_by_name(app_name);
   BestOfCompressor best;
-  TraceGenerator gen(app, 1 << 12, 0xFEEDu);
+  SampledTraceSource source(app, 1 << 12, 0xFEEDu);
+  TraceCursor gen(source);
 
   std::vector<LineState> legacy(1 << 12);
   std::vector<LineState> planned(1 << 12);

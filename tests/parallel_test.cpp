@@ -109,7 +109,7 @@ TEST_F(ParallelTest, SetThreadsOverridesAndZeroRestoresAuto) {
 
 TEST_F(ParallelTest, CliFlagSetsThreadCount) {
   const char* argv[] = {"prog", "--threads", "5"};
-  const CliArgs args(3, argv);
+  const CliArgs args(3, argv, {"threads"});
   EXPECT_EQ(set_threads_from_cli(args), 5u);
   EXPECT_EQ(parallel_threads(), 5u);
 }
@@ -117,7 +117,7 @@ TEST_F(ParallelTest, CliFlagSetsThreadCount) {
 TEST_F(ParallelTest, CliWithoutFlagKeepsCurrentCount) {
   set_parallel_threads(2);
   const char* argv[] = {"prog"};
-  const CliArgs args(1, argv);
+  const CliArgs args(1, argv, {"threads"});
   EXPECT_EQ(set_threads_from_cli(args), 2u);
 }
 

@@ -17,7 +17,7 @@
 #include "compression/bdi.hpp"
 #include "compression/fpc.hpp"
 #include "compression/word_scan.hpp"
-#include "trace/trace_source.hpp"
+#include "trace/sampled_source.hpp"
 #include "workload/app_profile.hpp"
 
 namespace pcmsim {
@@ -226,7 +226,7 @@ TEST(SimdKernel, ScanRandomized) {
 TEST(SimdKernel, ScanValueModelCorpus) {
   // Realistic blocks from the calibrated value model (Table III app mix).
   for (const char* app : {"gcc", "milc", "lbm", "mcf"}) {
-    GeneratorTraceSource gen(profile_by_name(app), 512, 0xC0DE);
+    SampledTraceSource gen(profile_by_name(app), 512, 0xC0DE);
     std::vector<WritebackEvent> events(512);
     ASSERT_EQ(gen.next_batch(events), events.size());
     for (const auto* kt : backends()) {

@@ -7,7 +7,7 @@
 #include <tuple>
 
 #include "core/system.hpp"
-#include "workload/trace.hpp"
+#include "trace/sampled_source.hpp"
 
 namespace pcmsim {
 namespace {
@@ -30,7 +30,8 @@ class AllModes : public ::testing::TestWithParam<SystemMode> {};
 TEST_P(AllModes, AccountingBalances) {
   PcmSystem sys(cfg_for(GetParam(), 3));
   const auto& app = profile_by_name("gcc");
-  TraceGenerator gen(app, sys.logical_lines(), 3);
+  SampledTraceSource source(app, sys.logical_lines(), 3);
+  TraceCursor gen(source);
   for (int i = 0; i < 40000 && !sys.failed(); ++i) {
     const auto ev = gen.next();
     (void)sys.write(ev.line, ev.data);
@@ -60,7 +61,8 @@ TEST_P(AllModes, RunsAreReproducible) {
   auto run = [&](std::uint64_t seed) {
     PcmSystem sys(cfg_for(mode, seed));
     const auto& app = profile_by_name("milc");
-    TraceGenerator gen(app, sys.logical_lines(), seed);
+    SampledTraceSource source(app, sys.logical_lines(), seed);
+    TraceCursor gen(source);
     for (int i = 0; i < 20000 && !sys.failed(); ++i) {
       const auto ev = gen.next();
       (void)sys.write(ev.line, ev.data);
@@ -115,7 +117,8 @@ TEST(SystemInvariants, NonRecyclingModesNeverRevive) {
   for (auto mode : {SystemMode::kBaseline, SystemMode::kComp, SystemMode::kCompW}) {
     PcmSystem sys(cfg_for(mode, 5, /*endurance=*/60.0));
     const auto& app = profile_by_name("lbm");
-    TraceGenerator gen(app, sys.logical_lines(), 5);
+    SampledTraceSource source(app, sys.logical_lines(), 5);
+    TraceCursor gen(source);
     std::uint64_t max_dead = 0;
     for (int i = 0; i < 120000 && !sys.failed(); ++i) {
       const auto ev = gen.next();
@@ -131,7 +134,8 @@ TEST(SystemInvariants, NonRecyclingModesNeverRevive) {
 TEST(SystemInvariants, FlipsNeverExceedWindowBits) {
   PcmSystem sys(cfg_for(SystemMode::kCompWF, 9, 1e4));
   const auto& app = profile_by_name("bzip2");
-  TraceGenerator gen(app, sys.logical_lines(), 9);
+  SampledTraceSource source(app, sys.logical_lines(), 9);
+  TraceCursor gen(source);
   for (int i = 0; i < 5000; ++i) {
     const auto ev = gen.next();
     const auto out = sys.write(ev.line, ev.data);
@@ -147,7 +151,8 @@ TEST(SystemInvariants, GapMovesHappenAtConfiguredInterval) {
   cfg.gap_interval = 25;
   PcmSystem sys(cfg);
   const auto& app = profile_by_name("astar");
-  TraceGenerator gen(app, sys.logical_lines(), 2);
+  SampledTraceSource source(app, sys.logical_lines(), 2);
+  TraceCursor gen(source);
   for (int i = 0; i < 1000; ++i) {
     const auto ev = gen.next();
     (void)sys.write(ev.line, ev.data);

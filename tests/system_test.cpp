@@ -7,7 +7,7 @@
 
 #include "core/system.hpp"
 #include "sim/lifetime.hpp"
-#include "workload/trace.hpp"
+#include "trace/sampled_source.hpp"
 
 namespace pcmsim {
 namespace {
@@ -30,7 +30,8 @@ TEST(System, FunctionalReadBackMatchesWrites) {
   cfg.functional_verify = true;
   PcmSystem sys(cfg);
   const auto& app = profile_by_name("gcc");
-  TraceGenerator gen(app, sys.logical_lines(), 42);
+  SampledTraceSource source(app, sys.logical_lines(), 42);
+  TraceCursor gen(source);
 
   std::map<LineAddr, Block> expected;
   for (int i = 0; i < 3000; ++i) {
@@ -51,7 +52,8 @@ TEST(System, FunctionalReadBackSurvivesWearOut) {
   cfg.functional_verify = true;
   PcmSystem sys(cfg);
   const auto& app = profile_by_name("milc");
-  TraceGenerator gen(app, sys.logical_lines(), 7);
+  SampledTraceSource source(app, sys.logical_lines(), 7);
+  TraceCursor gen(source);
 
   std::map<LineAddr, Block> expected;
   for (int i = 0; i < 20000 && !sys.failed(); ++i) {
@@ -81,7 +83,8 @@ TEST(System, FunctionalReadBackSurvivesWearOut) {
 TEST(System, BaselineNeverCompresses) {
   PcmSystem sys(small_config(SystemMode::kBaseline, 1e4));
   const auto& app = profile_by_name("zeusmp");  // highly compressible
-  TraceGenerator gen(app, sys.logical_lines(), 1);
+  SampledTraceSource source(app, sys.logical_lines(), 1);
+  TraceCursor gen(source);
   for (int i = 0; i < 500; ++i) {
     const auto ev = gen.next();
     const auto out = sys.write(ev.line, ev.data);
@@ -94,7 +97,8 @@ TEST(System, BaselineNeverCompresses) {
 TEST(System, CompStoresCompressibleDataCompressed) {
   PcmSystem sys(small_config(SystemMode::kComp, 1e4));
   const auto& app = profile_by_name("zeusmp");
-  TraceGenerator gen(app, sys.logical_lines(), 1);
+  SampledTraceSource source(app, sys.logical_lines(), 1);
+  TraceCursor gen(source);
   for (int i = 0; i < 500; ++i) {
     const auto ev = gen.next();
     (void)sys.write(ev.line, ev.data);
@@ -107,7 +111,8 @@ TEST(System, CompStoresCompressibleDataCompressed) {
 TEST(System, CompWindowsSitAtLsbWithoutRotation) {
   PcmSystem sys(small_config(SystemMode::kComp, 1e4));
   const auto& app = profile_by_name("milc");
-  TraceGenerator gen(app, sys.logical_lines(), 2);
+  SampledTraceSource source(app, sys.logical_lines(), 2);
+  TraceCursor gen(source);
   for (int i = 0; i < 300; ++i) {
     const auto ev = gen.next();
     const auto out = sys.write(ev.line, ev.data);
@@ -122,7 +127,8 @@ TEST(System, RotationMovesWindowStarts) {
   cfg.rotation_threshold = 50;
   PcmSystem sys(cfg);
   const auto& app = profile_by_name("milc");
-  TraceGenerator gen(app, sys.logical_lines(), 2);
+  SampledTraceSource source(app, sys.logical_lines(), 2);
+  TraceCursor gen(source);
   std::set<unsigned> starts;
   for (int i = 0; i < 4000; ++i) {
     const auto ev = gen.next();
@@ -136,7 +142,8 @@ TEST(System, HeuristicStoresVolatileLinesUncompressed) {
   auto cfg = small_config(SystemMode::kCompWF, 1e4);
   PcmSystem sys(cfg);
   const auto& app = profile_by_name("bzip2");  // high size volatility
-  TraceGenerator gen(app, sys.logical_lines(), 3);
+  SampledTraceSource source(app, sys.logical_lines(), 3);
+  TraceCursor gen(source);
   for (int i = 0; i < 5000; ++i) {
     const auto ev = gen.next();
     (void)sys.write(ev.line, ev.data);
@@ -149,7 +156,8 @@ TEST(System, DeadLinesRecycleUnderCompWF) {
   auto cfg = small_config(SystemMode::kCompWF, /*endurance=*/40.0);
   PcmSystem sys(cfg);
   const auto& app = profile_by_name("milc");
-  TraceGenerator gen(app, sys.logical_lines(), 5);
+  SampledTraceSource source(app, sys.logical_lines(), 5);
+  TraceCursor gen(source);
   for (int i = 0; i < 60000 && !sys.failed(); ++i) {
     const auto ev = gen.next();
     (void)sys.write(ev.line, ev.data);
@@ -162,7 +170,8 @@ TEST(System, WearOutKillsTheSystemEventually) {
   auto cfg = small_config(SystemMode::kBaseline, /*endurance=*/30.0);
   PcmSystem sys(cfg);
   const auto& app = profile_by_name("lbm");
-  TraceGenerator gen(app, sys.logical_lines(), 6);
+  SampledTraceSource source(app, sys.logical_lines(), 6);
+  TraceCursor gen(source);
   std::uint64_t writes = 0;
   while (!sys.failed() && writes < 2'000'000) {
     const auto ev = gen.next();
@@ -177,7 +186,8 @@ TEST(System, TolerableFaultsExceedSchemeCapabilityUnderCompWF) {
   auto cfg = small_config(SystemMode::kCompWF, /*endurance=*/40.0);
   PcmSystem sys(cfg);
   const auto& app = profile_by_name("cactusADM");  // tiny windows dodge faults
-  TraceGenerator gen(app, sys.logical_lines(), 8);
+  SampledTraceSource source(app, sys.logical_lines(), 8);
+  TraceCursor gen(source);
   for (int i = 0; i < 80000 && !sys.failed(); ++i) {
     const auto ev = gen.next();
     (void)sys.write(ev.line, ev.data);

@@ -1,5 +1,5 @@
 // Trace file layer: v2 chunked container round-trips, corruption/truncation
-// rejection, v1 hardening, and looped-replay re-versioning.
+// rejection, and looped-replay re-versioning.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,7 +16,6 @@
 #include "common/rng.hpp"
 #include "trace/file_source.hpp"
 #include "trace/trace_file.hpp"
-#include "workload/trace.hpp"
 
 namespace pcmsim {
 namespace {
@@ -211,45 +210,11 @@ TEST_F(TraceFileTest, WrongMagicIsRejected) {
   EXPECT_THROW(FileTraceSource source(path), ContractViolation);
 }
 
-// --- v1 hardening (workload/trace.{hpp,cpp}) -------------------------------
-
-TEST_F(TraceFileTest, V1TruncationIsRejectedAtOpen) {
-  const auto path = temp_path("v1_trunc.trace");
-  {
-    TraceWriter writer(path);
-    for (const auto& ev : make_events(20, 23)) writer.append(ev);
-    writer.close();
-  }
-  EXPECT_NO_THROW(TraceReader reader(path));
-  const auto full = std::filesystem::file_size(path);
-  std::filesystem::resize_file(path, full - 1);  // drop one payload byte
-  EXPECT_THROW(TraceReader reader(path), ContractViolation);
-  std::filesystem::resize_file(path, 8);  // shorter than the header
-  EXPECT_THROW(TraceReader reader(path), ContractViolation);
-}
-
-TEST_F(TraceFileTest, V1WrongMagicIsRejected) {
-  const auto path = temp_path("v1_magic.trace");
-  std::ofstream f(path, std::ios::binary);
-  const std::uint64_t bogus = 0x1122334455667788ull;
-  f.write(reinterpret_cast<const char*>(&bogus), 8);
-  f.write(reinterpret_cast<const char*>(&bogus), 8);
-  f.close();
-  EXPECT_THROW(TraceReader reader(path), ContractViolation);
-}
-
 TEST_F(TraceFileTest, WriterFailsLoudlyOnIoError) {
   // /dev/full accepts the open but fails writes once the stream buffer
-  // flushes; both writers must surface that instead of silently truncating.
+  // flushes; the writer must surface that instead of silently truncating.
   if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
   const auto events = make_events(2000, 29);
-  EXPECT_THROW(
-      {
-        TraceWriter writer("/dev/full");
-        for (const auto& ev : events) writer.append(ev);
-        writer.close();
-      },
-      ContractViolation);
   EXPECT_THROW(
       {
         TraceFileWriter writer("/dev/full", 64);
@@ -261,29 +226,43 @@ TEST_F(TraceFileTest, WriterFailsLoudlyOnIoError) {
 
 // --- FileTraceSource / LoopedFileTraceSource -------------------------------
 
-TEST_F(TraceFileTest, FileSourceReadsBothVersions) {
+TEST_F(TraceFileTest, FileSourceReplaysCapture) {
   const auto events = make_events(150, 31);
-  const auto v1 = temp_path("src_v1.trace");
-  const auto v2 = temp_path("src_v2.trace");
+  const auto path = temp_path("src_v2.trace");
+  write_v2(path, events, 64);
+  FileTraceSource source(path);
+  EXPECT_EQ(source.total_records(), events.size());
+  std::vector<WritebackEvent> got(events.size() + 10);
+  const std::size_t n = source.next_batch(got);
+  EXPECT_EQ(n, events.size());  // underfills at end of trace
+  got.resize(n);
+  expect_same(events, got);
+  EXPECT_EQ(source.next_batch(got), 0u);  // exhausted
+  source.reset();
+  got.resize(events.size() + 10);
+  EXPECT_EQ(source.next_batch(got), events.size());
+}
+
+TEST_F(TraceFileTest, FileSourceRejectsRetiredV1FormatAtOpen) {
+  // The retired v1 layout: "PCMTRACE" magic, record count, then packed
+  // 72-byte records. Only v2 is readable; a v1 capture fails at open in
+  // either decode mode instead of replaying garbage.
+  const auto path = temp_path("src_v1.trace");
+  const auto events = make_events(4, 33);
   {
-    TraceWriter writer(v1);
-    for (const auto& ev : events) writer.append(ev);
-    writer.close();
+    std::ofstream f(path, std::ios::binary);
+    const std::uint64_t magic = 0x50434d5452414345ull;
+    const std::uint64_t count = events.size();
+    f.write(reinterpret_cast<const char*>(&magic), 8);
+    f.write(reinterpret_cast<const char*>(&count), 8);
+    for (const auto& ev : events) {
+      f.write(reinterpret_cast<const char*>(&ev.line), 8);
+      f.write(reinterpret_cast<const char*>(ev.data.data()), kBlockBytes);
+    }
   }
-  write_v2(v2, events, 64);
-  for (const auto& path : {v1, v2}) {
-    FileTraceSource source(path);
-    EXPECT_EQ(source.total_records(), events.size());
-    std::vector<WritebackEvent> got(events.size() + 10);
-    const std::size_t n = source.next_batch(got);
-    EXPECT_EQ(n, events.size());  // underfills at end of trace
-    got.resize(n);
-    expect_same(events, got);
-    EXPECT_EQ(source.next_batch(got), 0u);  // exhausted
-    source.reset();
-    got.resize(events.size() + 10);
-    EXPECT_EQ(source.next_batch(got), events.size());
-  }
+  EXPECT_THROW(FileTraceSource source(path), ContractViolation);
+  EXPECT_THROW(FileTraceSource source(path, TraceDecode::kParallel), ContractViolation);
+  EXPECT_THROW(LoopedFileTraceSource source(path), ContractViolation);
 }
 
 TEST_F(TraceFileTest, LoopedReplayReversionsValues) {
@@ -365,7 +344,6 @@ TEST_F(TraceFileTest, ParallelDecodeMatchesSerialAtManyThreadCounts) {
   for (const std::size_t threads : {1u, 2u, 7u}) {
     set_parallel_threads(threads);
     FileTraceSource source(path, TraceDecode::kParallel);
-    EXPECT_EQ(source.decode_mode(), TraceDecode::kParallel);
     EXPECT_EQ(source.total_records(), events.size());
     // 97 never divides the 64-record chunks, so every batch straddles
     // chunk (and window) boundaries somewhere in the stream.
@@ -376,19 +354,6 @@ TEST_F(TraceFileTest, ParallelDecodeMatchesSerialAtManyThreadCounts) {
     expect_same(events, drain(source, 33));
   }
   set_parallel_threads(saved);
-}
-
-TEST_F(TraceFileTest, ParallelDecodeOnV1FallsBackToSerial) {
-  const auto path = temp_path("par_v1.trace");
-  const auto events = make_events(50, 43);
-  {
-    TraceWriter writer(path);
-    for (const auto& ev : events) writer.append(ev);
-    writer.close();
-  }
-  FileTraceSource source(path, TraceDecode::kParallel);
-  EXPECT_EQ(source.decode_mode(), TraceDecode::kSerial);  // v1 has no chunks
-  expect_same(events, drain(source, 16));
 }
 
 TEST_F(TraceFileTest, LoopedParallelReplayMatchesLoopedSerial) {
@@ -489,26 +454,21 @@ TEST_F(TraceFileTest, CorruptChunkCrcFailsLoudlyUnderParallelDecode) {
   set_parallel_threads(saved);
 }
 
-TEST_F(TraceFileTest, CompressedStorageIsSmallerThanV1) {
+TEST_F(TraceFileTest, CompressedStorageIsSmallerThanRawRecords) {
   // The v2 container stores BestOf-compressed values; on a compressible
-  // corpus it must beat v1's fixed 72 bytes/record by a wide margin.
+  // corpus it must beat the raw 72 bytes/record (address + value) by a wide
+  // margin.
   std::vector<WritebackEvent> events(512);
   for (std::size_t i = 0; i < events.size(); ++i) {
     events[i].line = i;
     events[i].data = zero_block();
   }
-  const auto v1 = temp_path("size_v1.trace");
-  const auto v2 = temp_path("size_v2.trace");
-  {
-    TraceWriter writer(v1);
-    for (const auto& ev : events) writer.append(ev);
-    writer.close();
-  }
-  write_v2(v2, events, 128);
-  const auto v1_size = std::filesystem::file_size(v1);
-  const auto v2_size = std::filesystem::file_size(v2);
-  EXPECT_LT(v2_size * 5, v1_size) << "v2 " << v2_size << " vs v1 " << v1_size;
-  expect_same(events, read_v2(v2));
+  const auto path = temp_path("size_v2.trace");
+  write_v2(path, events, 128);
+  const auto raw_size = events.size() * (8 + kBlockBytes);
+  const auto v2_size = std::filesystem::file_size(path);
+  EXPECT_LT(v2_size * 5, raw_size) << "v2 " << v2_size << " vs raw " << raw_size;
+  expect_same(events, read_v2(path));
 }
 
 }  // namespace

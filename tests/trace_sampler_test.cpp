@@ -1,12 +1,13 @@
-// SampledTraceSource calibration against TraceGenerator, plus the value-model
-// decomposition identity the sampler's incremental advance relies on.
+// SampledTraceSource calibration against the workload model's own
+// definitions, plus the value-model decomposition identity the sampler's
+// incremental advance relies on.
 //
-// The two sources share fold_rank / initial_line_shape / ClassAssigner and
-// the (line, shape, version) -> Block value function, so class assignment is
-// exactly equal and value trajectories are identical functions of state. Only
-// the RNG consumption order differs, which leaves the *distributions* —
-// line popularity, shape-redraw rate, per-line rewrite counts — equivalent
-// without the streams being bit-identical.
+// The model defines a line's write probability (ZipfSampler's rank pmf folded
+// onto the region by fold_rank), its value class (ClassAssigner), its shape
+// churn (shape_redraw_prob per rewrite) and its value (generate_value). The
+// sampler implements the same model with an alias table, flat state and
+// incremental value updates; these tests check its stream against each
+// definition directly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +17,7 @@
 #include <span>
 #include <vector>
 
+#include "common/zipf.hpp"
 #include "trace/sampled_source.hpp"
 #include "trace/trace_source.hpp"
 #include "workload/app_profile.hpp"
@@ -36,6 +38,18 @@ std::vector<WritebackEvent> drain(TraceSource& source, std::size_t n,
     done += source.next_batch(std::span(out.data() + done, want));
   }
   return out;
+}
+
+/// Per-line write probability the model defines: the Zipf rank pmf folded
+/// onto the region through fold_rank.
+std::vector<double> folded_pmf(const AppProfile& app, std::uint64_t region,
+                               std::uint64_t seed) {
+  const ZipfSampler zipf(app.working_set_lines, app.zipf_theta);
+  std::vector<double> p(region, 0.0);
+  for (std::uint64_t rank = 0; rank < zipf.universe(); ++rank) {
+    p[fold_rank(rank, seed, region)] += zipf.pmf(rank);
+  }
+  return p;
 }
 
 // The decomposition contract: generate_static_base + apply_dynamic must equal
@@ -70,99 +84,133 @@ TEST(ValueModelDecomposition, MatchesFromScratchGenerationIncrementally) {
   }
 }
 
-TEST(SampledTraceSource, ClassAssignmentMatchesGeneratorExactly) {
+TEST(SampledTraceSource, ClassAssignmentIsClassAssigner) {
   const AppProfile& app = profile_by_name("gcc");
-  TraceGenerator gen(app, kRegion, kSeed);
+  const ClassAssigner classes(app, kSeed);
   SampledTraceSource sampled(app, kRegion, kSeed);
   for (std::uint64_t line = 0; line < kRegion; ++line) {
-    EXPECT_EQ(&gen.class_of(line) - gen.app().classes.data(),
+    EXPECT_EQ(&classes.of(line) - app.classes.data(),
               &sampled.class_of(line) - sampled.app().classes.data())
         << "line " << line;
   }
 }
 
-TEST(SampledTraceSource, PopularityDistributionMatchesGenerator) {
-  const AppProfile& app = profile_by_name("milc");
-  constexpr std::size_t kEvents = 200000;
+TEST(SampledTraceSource, PopularityDistributionMatchesFoldedZipfPmf) {
+  // milc (theta 0.5 over 2^20 lines) folds to a nearly flat region, which
+  // the KS gap checks; hmmer (theta 0.9 over 2^18) keeps a few lines above
+  // 1% of the traffic, which the pointwise head check pins.
+  for (const char* name : {"milc", "hmmer"}) {
+    SCOPED_TRACE(name);
+    const AppProfile& app = profile_by_name(name);
+    constexpr std::size_t kEvents = 200000;
+    const std::vector<double> expect = folded_pmf(app, kRegion, kSeed);
 
-  TraceGenerator gen(app, kRegion, kSeed);
-  std::vector<std::uint64_t> gen_counts(kRegion, 0);
-  for (std::size_t i = 0; i < kEvents; ++i) ++gen_counts[gen.next().line];
+    SampledTraceSource sampled(app, kRegion, kSeed);
+    std::vector<std::uint64_t> counts(kRegion, 0);
+    for (const auto& ev : drain(sampled, kEvents)) ++counts[ev.line];
 
-  SampledTraceSource sampled(app, kRegion, kSeed);
-  std::vector<std::uint64_t> sam_counts(kRegion, 0);
-  for (const auto& ev : drain(sampled, kEvents)) ++sam_counts[ev.line];
+    // KS distance over the line-index ordering between the empirical and the
+    // exact per-line distribution. D_crit at alpha=0.001 for n=200k is
+    // ~0.0044; 0.02 leaves wide margin while still catching any real
+    // miscalibration.
+    double cdf_gap = 0.0;
+    double ce = 0.0;
+    double cs = 0.0;
+    for (std::uint64_t line = 0; line < kRegion; ++line) {
+      ce += expect[line];
+      cs += static_cast<double>(counts[line]) / kEvents;
+      cdf_gap = std::max(cdf_gap, std::abs(ce - cs));
+    }
+    EXPECT_LT(cdf_gap, 0.02);
 
-  // Two-sample KS over the line-index ordering: both sources draw ranks from
-  // the same Zipf pmf and fold them with the same hash, so their per-line
-  // distributions agree. D_crit at alpha=0.001 for n=m=200k is ~0.0062; 0.02
-  // leaves wide margin while still catching any real miscalibration (e.g. a
-  // wrong theta changes head mass by far more).
-  double cdf_gap = 0.0;
-  double cg = 0.0;
-  double cs = 0.0;
-  for (std::uint64_t line = 0; line < kRegion; ++line) {
-    cg += static_cast<double>(gen_counts[line]) / kEvents;
-    cs += static_cast<double>(sam_counts[line]) / kEvents;
-    cdf_gap = std::max(cdf_gap, std::abs(cg - cs));
-  }
-  EXPECT_LT(cdf_gap, 0.02);
-
-  // The popular-head mass must also agree pointwise (relative), not just in
-  // the aggregate CDF: compare every line that holds >=1% of the traffic.
-  for (std::uint64_t line = 0; line < kRegion; ++line) {
-    const double pg = static_cast<double>(gen_counts[line]) / kEvents;
-    const double ps = static_cast<double>(sam_counts[line]) / kEvents;
-    if (pg >= 0.01) {
-      EXPECT_NEAR(ps / pg, 1.0, 0.15) << "line " << line;
+    // The popular-head mass must also agree pointwise (relative), not just
+    // in the aggregate CDF: compare every line that holds >=1% of the
+    // traffic.
+    for (std::uint64_t line = 0; line < kRegion; ++line) {
+      const double ps = static_cast<double>(counts[line]) / kEvents;
+      if (expect[line] >= 0.01) {
+        EXPECT_NEAR(ps / expect[line], 1.0, 0.15) << "line " << line;
+      }
     }
   }
 }
 
-TEST(SampledTraceSource, RedrawAndTouchRatesMatchGenerator) {
+TEST(SampledTraceSource, RedrawRateAndTouchedSetMatchTheModel) {
   const AppProfile& app = profile_by_name("gcc");
   constexpr std::size_t kEvents = 200000;
-
-  TraceGenerator gen(app, kRegion, kSeed);
-  for (std::size_t i = 0; i < kEvents; ++i) (void)gen.next();
   SampledTraceSource sampled(app, kRegion, kSeed);
   (void)drain(sampled, kEvents);
 
-  // Shape redraws happen per *rewrite* with probability shape_redraw_prob in
-  // both sources; at 200k events over 512 lines nearly every event is a
-  // rewrite, so both rates concentrate tightly around the configured value.
-  const double gen_rate = static_cast<double>(gen.shape_redraws()) / kEvents;
-  const double sam_rate = static_cast<double>(sampled.shape_redraws()) / kEvents;
-  EXPECT_NEAR(gen_rate, app.shape_redraw_prob, 0.2 * app.shape_redraw_prob + 1e-4);
-  EXPECT_NEAR(sam_rate, app.shape_redraw_prob, 0.2 * app.shape_redraw_prob + 1e-4);
-  EXPECT_NEAR(sam_rate, gen_rate, 0.25 * gen_rate + 1e-4);
+  // Shape redraws happen per *rewrite* with probability shape_redraw_prob; at
+  // 200k events over 512 lines nearly every event is a rewrite, so the rate
+  // concentrates tightly around the configured value.
+  const double rate = static_cast<double>(sampled.shape_redraws()) / kEvents;
+  EXPECT_NEAR(rate, app.shape_redraw_prob, 0.2 * app.shape_redraw_prob + 1e-4);
 
-  // Both working sets fold onto the same region with the same hash, so the
-  // set of lines ever touched is the same size (every fold target is hit
-  // eventually; at 200k events both have saturated the reachable set).
-  EXPECT_EQ(gen.touched_lines(), sampled.touched_lines());
+  // At 200k events the stream has saturated the set of lines fold_rank can
+  // reach from the working set.
+  std::vector<bool> reachable(kRegion, false);
+  for (std::uint64_t rank = 0; rank < app.working_set_lines; ++rank) {
+    reachable[fold_rank(rank, kSeed, kRegion)] = true;
+  }
+  const auto reachable_lines =
+      static_cast<std::uint64_t>(std::count(reachable.begin(), reachable.end(), true));
+  EXPECT_EQ(sampled.touched_lines(), reachable_lines);
 }
 
-TEST(SampledTraceSource, ValueStreamIsDistributionallyCalibrated) {
-  // Same-class lines produce values from the same model, so summary
-  // statistics of the value stream — here mean zero-byte fraction, the main
-  // driver of compressibility — must agree between sources.
+TEST(SampledTraceSource, ZeroFractionMatchesTheValueModel) {
+  // Mean zero-byte fraction — the main driver of compressibility — must match
+  // the value model's expectation under the folded popularity pmf: each
+  // line's generate_value averaged over random shapes and early versions.
   const AppProfile& app = profile_by_name("zeusmp");
   constexpr std::size_t kEvents = 50000;
+  const std::vector<double> p = folded_pmf(app, kRegion, kSeed);
+  const ClassAssigner classes(app, kSeed);
+  Rng rng(kSeed);
+  double expect = 0.0;
+  for (std::uint64_t line = 0; line < kRegion; ++line) {
+    if (p[line] == 0.0) continue;
+    std::uint64_t zeros = 0;
+    constexpr std::uint32_t kShapes = 8;
+    constexpr std::uint32_t kVersions = 8;
+    for (std::uint32_t s = 0; s < kShapes; ++s) {
+      const auto shape = static_cast<std::uint32_t>(rng());
+      for (std::uint32_t v = 0; v < kVersions; ++v) {
+        for (const auto b : generate_value(classes.of(line), line, shape, v)) zeros += (b == 0);
+      }
+    }
+    expect += p[line] * static_cast<double>(zeros) / (kShapes * kVersions * kBlockBytes);
+  }
 
-  TraceGenerator gen(app, kRegion, kSeed);
-  std::uint64_t gen_zeros = 0;
-  for (std::size_t i = 0; i < kEvents; ++i) {
-    for (const auto b : gen.next().data) gen_zeros += (b == 0);
-  }
   SampledTraceSource sampled(app, kRegion, kSeed);
-  std::uint64_t sam_zeros = 0;
+  std::uint64_t zeros = 0;
   for (const auto& ev : drain(sampled, kEvents)) {
-    for (const auto b : ev.data) sam_zeros += (b == 0);
+    for (const auto b : ev.data) zeros += (b == 0);
   }
-  const double gen_frac = static_cast<double>(gen_zeros) / (kEvents * kBlockBytes);
-  const double sam_frac = static_cast<double>(sam_zeros) / (kEvents * kBlockBytes);
-  EXPECT_NEAR(sam_frac, gen_frac, 0.03) << "gen " << gen_frac << " sam " << sam_frac;
+  const double got = static_cast<double>(zeros) / (kEvents * kBlockBytes);
+  EXPECT_NEAR(got, expect, 0.03) << "model " << expect << " sampled " << got;
+}
+
+TEST(SampledTraceSource, AddressesStayInRegion) {
+  SampledTraceSource sampled(profile_by_name("lbm"), 1000, 3);
+  for (const auto& ev : drain(sampled, 5000)) EXPECT_LT(ev.line, 1000u);
+}
+
+TEST(SampledTraceSource, ZipfSkewConcentratesWrites) {
+  SampledTraceSource sampled(profile_by_name("gobmk"), 1 << 14, 9);  // theta 0.85
+  std::vector<int> counts(1 << 14, 0);
+  const int n = 50000;
+  for (const auto& ev : drain(sampled, n)) ++counts[ev.line];
+  // Top 1% of touched lines should absorb well over 1% of writes.
+  std::vector<int> sorted;
+  for (const int c : counts) {
+    if (c > 0) sorted.push_back(c);
+  }
+  std::sort(sorted.rbegin(), sorted.rend());
+  const std::size_t top = std::max<std::size_t>(1, sorted.size() / 100);
+  int top_writes = 0;
+  for (std::size_t i = 0; i < top; ++i) top_writes += sorted[i];
+  EXPECT_GT(static_cast<double>(top_writes) / n, 0.05);
 }
 
 TEST(SampledTraceSource, DeterministicAcrossBatchSizesAndReset) {
@@ -204,26 +252,6 @@ TEST(SampledTraceSource, CurrentValueTracksLastEvent) {
     } else {
       EXPECT_EQ(sampled.current_value(line), zero_block()) << "line " << line;
     }
-  }
-}
-
-TEST(GeneratorTraceSource, MatchesRawGeneratorBitExactly) {
-  const AppProfile& app = profile_by_name("gcc");
-  TraceGenerator gen(app, kRegion, kSeed);
-  GeneratorTraceSource source(app, kRegion, kSeed);
-  const auto events = drain(source, 3000, 100);
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const WritebackEvent expect = gen.next();
-    ASSERT_EQ(events[i].line, expect.line) << i;
-    ASSERT_EQ(events[i].data, expect.data) << i;
-  }
-  // reset() restores the stream from the top.
-  source.reset();
-  std::vector<WritebackEvent> head(10);
-  (void)source.next_batch(head);
-  for (std::size_t i = 0; i < head.size(); ++i) {
-    ASSERT_EQ(head[i].line, events[i].line);
-    ASSERT_EQ(head[i].data, events[i].data);
   }
 }
 

@@ -1,11 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <cstring>
 #include <map>
 
 #include "compression/best_of.hpp"
+#include "trace/sampled_source.hpp"
 #include "workload/app_profile.hpp"
-#include "workload/trace.hpp"
 
 namespace pcmsim {
 namespace {
@@ -63,87 +63,15 @@ TEST(ValueModel, RewritesTouchBoundedWordCount) {
   }
 }
 
-TEST(TraceGenerator, DeterministicAcrossInstances) {
-  const auto& app = profile_by_name("milc");
-  TraceGenerator g1(app, 4096, 11);
-  TraceGenerator g2(app, 4096, 11);
-  for (int i = 0; i < 200; ++i) {
-    const auto e1 = g1.next();
-    const auto e2 = g2.next();
-    EXPECT_EQ(e1.line, e2.line);
-    EXPECT_EQ(e1.data, e2.data);
-  }
-}
-
-TEST(TraceGenerator, AddressesStayInRegion) {
-  const auto& app = profile_by_name("lbm");
-  TraceGenerator gen(app, 1000, 3);
-  for (int i = 0; i < 5000; ++i) {
-    EXPECT_LT(gen.next().line, 1000u);
-  }
-}
-
-TEST(TraceGenerator, CurrentValueTracksLastEvent) {
-  const auto& app = profile_by_name("hmmer");
-  TraceGenerator gen(app, 512, 5);
-  std::map<LineAddr, Block> last;
-  for (int i = 0; i < 2000; ++i) {
-    const auto ev = gen.next();
-    last[ev.line] = ev.data;
-  }
-  for (const auto& [line, data] : last) {
-    EXPECT_EQ(gen.current_value(line), data);
-  }
-}
-
-TEST(TraceGenerator, ZipfSkewConcentratesWrites) {
-  const auto& app = profile_by_name("gobmk");  // theta 0.85
-  TraceGenerator gen(app, 1 << 14, 9);
-  std::map<LineAddr, int> counts;
-  const int n = 50000;
-  for (int i = 0; i < n; ++i) ++counts[gen.next().line];
-  // Top 1% of touched lines should absorb well over 1% of writes.
-  std::vector<int> sorted;
-  for (const auto& [_, c] : counts) sorted.push_back(c);
-  std::sort(sorted.rbegin(), sorted.rend());
-  const std::size_t top = std::max<std::size_t>(1, sorted.size() / 100);
-  int top_writes = 0;
-  for (std::size_t i = 0; i < top; ++i) top_writes += sorted[i];
-  EXPECT_GT(static_cast<double>(top_writes) / n, 0.05);
-}
-
-TEST(TraceFile, RoundTripsThroughDisk) {
-  const auto& app = profile_by_name("astar");
-  TraceGenerator gen(app, 256, 21);
-  const std::string path = ::testing::TempDir() + "/pcmsim_trace_test.bin";
-  std::vector<WritebackEvent> events;
-  {
-    TraceWriter w(path);
-    for (int i = 0; i < 300; ++i) {
-      events.push_back(gen.next());
-      w.append(events.back());
-    }
-  }
-  TraceReader r(path);
-  EXPECT_EQ(r.count(), 300u);
-  for (const auto& expected : events) {
-    const auto got = r.next();
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(got->line, expected.line);
-    EXPECT_EQ(got->data, expected.data);
-  }
-  EXPECT_FALSE(r.next().has_value());
-  std::remove(path.c_str());
-}
-
-// Calibration: measured best-of compressed sizes must land near Table III's
-// per-app compression ratios. Tolerance is generous here; the fig03 bench
-// reports exact values (see EXPERIMENTS.md).
+// Calibration: best-of compressed sizes of the sampled stream must land near
+// Table III's per-app compression ratios. Tolerance is generous here; the
+// fig03 bench reports exact values (see EXPERIMENTS.md).
 class Calibration : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(Calibration, CompressedSizeNearTableThree) {
   const auto& app = profile_by_name(GetParam());
-  TraceGenerator gen(app, 1 << 14, 1234);
+  SampledTraceSource source(app, 1 << 14, 1234);
+  TraceCursor gen(source);
   BestOfCompressor best;
   double total = 0;
   const int n = 4000;
@@ -167,7 +95,8 @@ TEST(Calibration, SizeVolatilityRankingMatchesFigureSix) {
   BestOfCompressor best;
   auto change_prob = [&](const char* name) {
     const auto& app = profile_by_name(name);
-    TraceGenerator gen(app, 1 << 12, 77);
+    SampledTraceSource source(app, 1 << 12, 77);
+    TraceCursor gen(source);
     std::map<LineAddr, std::size_t> last_size;
     int changes = 0;
     int pairs = 0;
