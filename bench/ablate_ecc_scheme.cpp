@@ -8,11 +8,22 @@
 // modes all come from the registry's static SchemeSpecInfo table
 // (ecc/registry.hpp), which the registry round-trip test pins against the
 // real schemes.
+//
+// The matrix doubles as the one behaviour gate over every scheme's lifetime:
+// a digest of each cell's writes_to_failure, faults_at_death and flips/write
+// (fixed cell order; cells are seeded per task, so it is the same at any
+// --threads) goes to stderr, and --expect_checksum fails the run on a
+// mismatch. --lines/--endurance override the scale's region so the gate
+// runs in seconds:
+//
+//   ./build/bench/ablate_ecc_scheme --lines 64 --endurance 40 --expect_checksum <pinned>
+#include <bit>
 #include <iostream>
 #include <mutex>
 
 #include "common/cli.hpp"
 #include "common/parallel.hpp"
+#include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "ecc/registry.hpp"
@@ -32,10 +43,14 @@ SystemMode lane_mode(const SchemeTraits& traits) {
 }  // namespace
 
 int main(int argc, char** argv) try {
-  const CliArgs args(argc, argv, {"csv", "fast", "threads"});
+  const CliArgs args(argc, argv, {"csv", "endurance", "expect_checksum", "fast", "lines",
+                                  "threads"});
   set_threads_from_cli(args);
   const ScopedTimer timer("ablate_ecc_scheme");
-  const auto scale = ExperimentScale::from_flag(args.get_bool("fast") ? "fast" : "default");
+  auto scale = ExperimentScale::from_flag(args.get_bool("fast") ? "fast" : "default");
+  scale.physical_lines = static_cast<std::uint64_t>(
+      args.get_int("lines", static_cast<std::int64_t>(scale.physical_lines)));
+  scale.endurance_mean = args.get_double("endurance", scale.endurance_mean);
 
   const std::vector<std::string> app_names = {"milc", "gcc", "lbm"};
   const auto schemes = registered_schemes();
@@ -88,6 +103,14 @@ int main(int argc, char** argv) try {
     }
   }
 
+  std::uint64_t h = 0x4543434d41545831ull;  // "ECCMATX1"
+  for (const LifetimeResult& r : results) {
+    h = mix64(h, r.writes_to_failure);
+    h = mix64(h, std::bit_cast<std::uint64_t>(r.mean_faults_at_death));
+    h = mix64(h, std::bit_cast<std::uint64_t>(r.mean_flips_per_write));
+  }
+  std::cerr << "[ecc] checksum " << h << "\n";
+
   if (args.get_bool("csv")) {
     table.print_csv(std::cout);
   } else {
@@ -96,6 +119,14 @@ int main(int argc, char** argv) try {
     std::cout << "Fig 9 ordering: Aegis >= SAFER >= ECP-6; BCH-t6 guarantees 12 erasures in\n"
                  "60 meta bits (vs ECP-6's 6 in 63); Coset-W4 spends compression slack\n"
                  "in-word instead of on a movable window.\n";
+  }
+  if (args.has("expect_checksum")) {
+    const std::uint64_t expect = std::stoull(args.get("expect_checksum", "0"));
+    if (expect != h) {
+      std::cerr << "checksum mismatch: expected " << expect << ", got " << h
+                << " — a scheme's lifetime behaviour changed\n";
+      return 1;
+    }
   }
   return 0;
 } catch (const std::exception& e) {

@@ -76,6 +76,19 @@ std::size_t window_stuck_from_prefix(std::span<const std::uint16_t> prefix,
 
 }  // namespace
 
+bool WindowPlacer::start_fits(const PcmArray& array, std::size_t line,
+                              std::span<const std::uint16_t> prefix, std::uint8_t start,
+                              std::uint8_t size_bytes,
+                              std::span<const std::uint8_t> word_content) const {
+  const std::size_t stuck = window_stuck_from_prefix(prefix, start, size_bytes);
+  if (stuck <= guaranteed_) return true;
+  if (stuck > bound_) return false;  // no pattern of this many faults survives
+  WindowFaultBuffer buf;
+  const auto faults = window_faults_into(array, line, start, size_bytes, buf);
+  return scheme_->can_tolerate_with(faults, static_cast<std::size_t>(size_bytes) * 8,
+                                    word_content);
+}
+
 bool WindowPlacer::fits(const PcmArray& array, std::size_t line, std::uint8_t start,
                         std::uint8_t size_bytes) const {
   return fits(array, line, start, size_bytes, {});
@@ -85,27 +98,19 @@ bool WindowPlacer::fits(const PcmArray& array, std::size_t line, std::uint8_t st
                         std::uint8_t size_bytes,
                         std::span<const std::uint8_t> word_content) const {
   // O(1) fast path: a window can hold at most the line's total stuck cells,
-  // and every implemented scheme tolerates any pattern of up to
-  // guaranteed_correctable() faults — the common zero/low-fault line never
-  // scans a single window word. (The guarantee is data-independent, so the
-  // fast paths stay valid in the slack-aware case too.)
-  const std::size_t line_stuck = array.data_stuck_count(line);
-  if (line_stuck <= scheme_->guaranteed_correctable()) return true;
-  const std::size_t stuck =
-      window_stuck_from_prefix(array.byte_stuck_prefix(line), start, size_bytes);
-  if (stuck <= scheme_->guaranteed_correctable()) return true;
-  WindowFaultBuffer buf;
-  const auto faults = window_faults_into(array, line, start, size_bytes, buf);
-  return scheme_->can_tolerate_with(faults, static_cast<std::size_t>(size_bytes) * 8,
-                                    word_content);
+  // so the common zero/low-fault line never scans a single window word. (The
+  // count bounds are data-independent, so they stay valid in the slack-aware
+  // case too.)
+  if (array.data_stuck_count(line) <= guaranteed_) return true;
+  return start_fits(array, line, array.byte_stuck_prefix(line), start, size_bytes,
+                    word_content);
 }
 
 std::optional<std::uint8_t> WindowPlacer::find(const PcmArray& array, std::size_t line,
                                                std::uint8_t size_bytes, std::uint8_t preferred,
                                                SlidePolicy policy) const {
   expects(preferred < kBlockBytes, "preferred start must be inside the line");
-  const std::size_t guaranteed = scheme_->guaranteed_correctable();
-  const bool clean = array.data_stuck_count(line) <= guaranteed;
+  const bool clean = array.data_stuck_count(line) <= guaranteed_;
 
   // Each policy tries `preferred` first, so when the whole line is below the
   // guaranteed bound the answer is the first start its search order visits —
@@ -121,24 +126,18 @@ std::optional<std::uint8_t> WindowPlacer::find(const PcmArray& array, std::size_
       if (static_cast<std::size_t>(preferred) + size_bytes > kBlockBytes) return std::nullopt;
       if (clean) return preferred;
       const auto prefix = array.byte_stuck_prefix(line);
-      WindowFaultBuffer buf;
       for (std::uint8_t start = preferred;
            static_cast<std::size_t>(start) + size_bytes <= kBlockBytes; ++start) {
-        if (window_stuck_from_prefix(prefix, start, size_bytes) <= guaranteed) return start;
-        const auto faults = window_faults_into(array, line, start, size_bytes, buf);
-        if (scheme_->can_tolerate(faults, static_cast<std::size_t>(size_bytes) * 8)) return start;
+        if (start_fits(array, line, prefix, start, size_bytes, {})) return start;
       }
       return std::nullopt;
     }
     case SlidePolicy::kAnywhere: {
       if (clean) return preferred;
       const auto prefix = array.byte_stuck_prefix(line);
-      WindowFaultBuffer buf;
       for (std::size_t i = 0; i < kBlockBytes; ++i) {
         const auto start = static_cast<std::uint8_t>((preferred + i) % kBlockBytes);
-        if (window_stuck_from_prefix(prefix, start, size_bytes) <= guaranteed) return start;
-        const auto faults = window_faults_into(array, line, start, size_bytes, buf);
-        if (scheme_->can_tolerate(faults, static_cast<std::size_t>(size_bytes) * 8)) return start;
+        if (start_fits(array, line, prefix, start, size_bytes, {})) return start;
       }
       return std::nullopt;
     }

@@ -65,9 +65,16 @@ enum class SlidePolicy : std::uint8_t {
   kAnywhere, ///< any start, wrap allowed (Comp+W / Comp+WF with rotation)
 };
 
+/// Places windows by fault count first: a window holding at most
+/// guaranteed_correctable() stuck cells always fits and one holding more than
+/// max_tolerable() never does, both read off the line's prefix sums. Only
+/// counts in between collect the window's faults and ask the scheme.
 class WindowPlacer {
  public:
-  explicit WindowPlacer(const HardErrorScheme& scheme) : scheme_(&scheme) {}
+  explicit WindowPlacer(const HardErrorScheme& scheme)
+      : scheme_(&scheme),
+        guaranteed_(scheme.guaranteed_correctable()),
+        bound_(scheme.max_tolerable()) {}
 
   /// True when the window at `start` can store arbitrary data.
   [[nodiscard]] bool fits(const PcmArray& array, std::size_t line, std::uint8_t start,
@@ -89,7 +96,15 @@ class WindowPlacer {
   [[nodiscard]] const HardErrorScheme& scheme() const { return *scheme_; }
 
  private:
+  /// fits() for one start once the line is known to exceed the guarantee.
+  [[nodiscard]] bool start_fits(const PcmArray& array, std::size_t line,
+                                std::span<const std::uint16_t> prefix, std::uint8_t start,
+                                std::uint8_t size_bytes,
+                                std::span<const std::uint8_t> word_content) const;
+
   const HardErrorScheme* scheme_;
+  std::size_t guaranteed_;  ///< scheme_->guaranteed_correctable()
+  std::size_t bound_;       ///< scheme_->max_tolerable()
 };
 
 }  // namespace pcmsim

@@ -1,7 +1,8 @@
 #include "ecc/aegis.hpp"
 
+#include <algorithm>
+#include <bitset>
 #include <numeric>
-#include <unordered_set>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -12,7 +13,9 @@ AegisScheme::AegisScheme(std::size_t rows, std::size_t cols) : rows_(rows), cols
   expects(rows >= 2 && cols >= 2, "grid must be at least 2x2");
   expects(std::gcd(rows, cols) == 1, "grid dimensions must be coprime (CRT mapping)");
   expects(rows * cols >= kBlockBits, "grid must cover a 512-bit line");
-  expects(cols <= 58, "flip bits + direction id must fit the 64-bit budget");
+  // Either direction family may win, so its flip bits (one per group: cols
+  // for slopes, rows for vertical) plus the 6-bit direction id must fit.
+  expects(std::max(rows, cols) <= 58, "flip bits + direction id must fit the 64-bit budget");
   name_ = "Aegis-" + std::to_string(rows) + "x" + std::to_string(cols);
 }
 
@@ -29,6 +32,8 @@ std::size_t AegisScheme::guaranteed_correctable() const {
   return f;
 }
 
+std::size_t AegisScheme::max_tolerable() const { return std::max(rows_, cols_); }
+
 std::size_t AegisScheme::group_of(std::size_t pos, unsigned dir) const {
   const std::size_t x = pos % rows_;
   const std::size_t y = pos % cols_;
@@ -40,13 +45,15 @@ std::optional<unsigned> AegisScheme::find_direction(std::span<const FaultCell> f
   for (unsigned dir = 0; dir <= cols_; ++dir) {
     const std::size_t groups = (dir == cols_) ? rows_ : cols_;
     if (faults.size() > groups) continue;
-    std::unordered_set<std::size_t> seen;
+    std::bitset<kBlockBits> seen;  // group ids are < max(rows, cols) <= 58
     bool ok = true;
     for (const auto& f : faults) {
-      if (!seen.insert(group_of(f.pos, dir)).second) {
+      const std::size_t g = group_of(f.pos, dir);
+      if (seen.test(g)) {
         ok = false;
         break;
       }
+      seen.set(g);
     }
     if (ok) return dir;
   }

@@ -25,6 +25,8 @@ class AegisScheme final : public HardErrorScheme {
   [[nodiscard]] std::string_view name() const override { return name_; }
   [[nodiscard]] std::size_t metadata_bits() const override;
   [[nodiscard]] std::size_t guaranteed_correctable() const override;
+  /// One fault per group, and no direction has more than max(rows, cols).
+  [[nodiscard]] std::size_t max_tolerable() const override;
   [[nodiscard]] bool can_tolerate(std::span<const FaultCell> faults,
                                   std::size_t window_bits) const override;
   [[nodiscard]] std::optional<EncodeResult> encode(

@@ -32,6 +32,8 @@ class BchScheme final : public HardErrorScheme {
   [[nodiscard]] std::string_view name() const override { return name_; }
   [[nodiscard]] std::size_t metadata_bits() const override { return t_ * kSymbolBits; }
   [[nodiscard]] std::size_t guaranteed_correctable() const override { return 2 * t_; }
+  /// Past 2t erasures the check symbols cannot pin down the stuck cells.
+  [[nodiscard]] std::size_t max_tolerable() const override { return 2 * t_; }
   [[nodiscard]] bool can_tolerate(std::span<const FaultCell> faults,
                                   std::size_t window_bits) const override;
   [[nodiscard]] std::optional<EncodeResult> encode(

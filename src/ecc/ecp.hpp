@@ -20,6 +20,8 @@ class EcpScheme final : public HardErrorScheme {
   [[nodiscard]] std::string_view name() const override { return name_; }
   [[nodiscard]] std::size_t metadata_bits() const override;
   [[nodiscard]] std::size_t guaranteed_correctable() const override { return entries_; }
+  /// One entry per stuck cell: no pattern of more than N faults survives.
+  [[nodiscard]] std::size_t max_tolerable() const override { return entries_; }
   [[nodiscard]] bool can_tolerate(std::span<const FaultCell> faults,
                                   std::size_t window_bits) const override;
   [[nodiscard]] std::optional<EncodeResult> encode(

@@ -16,8 +16,10 @@ namespace pcmsim {
 
 namespace {
 
-constexpr SchemeTraits line_traits(std::size_t meta, std::size_t guaranteed) {
-  return SchemeTraits{meta, guaranteed, SchemeGranularity::kLine, true, false, false};
+constexpr SchemeTraits line_traits(std::size_t meta, std::size_t guaranteed,
+                                   std::size_t max_tolerable) {
+  return SchemeTraits{meta, guaranteed, max_tolerable, SchemeGranularity::kLine,
+                      true, false, false};
 }
 
 // The canonical laboratory, in bench enumeration order. Names and traits are
@@ -25,21 +27,21 @@ constexpr SchemeTraits line_traits(std::size_t meta, std::size_t guaranteed) {
 // schemes exactly.
 constexpr std::array<SchemeSpecInfo, 8> kRegistry = {{
     {"ecp6", "ECP-6", "6 pointer+replacement entries (paper baseline, 63 meta bits)",
-     line_traits(63, 6)},
+     line_traits(63, 6, 6)},
     {"ecp12", "ECP-12", "12 ECP entries (2x budget: what pointers alone buy)",
-     line_traits(124, 12)},
+     line_traits(124, 12, 12)},
     {"safer32", "SAFER-32", "32 address-bit partitions, greedy field selection",
-     line_traits(52, 6)},
+     line_traits(52, 6, 32)},
     {"aegis17x31", "Aegis-17x31", "CRT grid partitions, 8 guaranteed in 37 meta bits",
-     line_traits(37, 8)},
+     line_traits(37, 8, 31)},
     {"secded", "SECDED-72.64", "Hsiao (72,64) per word; DRAM baseline, whole lines only",
-     SchemeTraits{64, 1, SchemeGranularity::kLine, false, true, false}},
+     SchemeTraits{64, 1, 8, SchemeGranularity::kLine, false, true, false}},
     {"bch-t2", "BCH-t2", "2 odd syndromes over GF(2^10): 4 erasures in 20 meta bits",
-     line_traits(20, 4)},
+     line_traits(20, 4, 4)},
     {"bch-t6", "BCH-t6", "6 odd syndromes: 12 erasures in 60 meta bits (2x ECP-6)",
-     line_traits(60, 12)},
+     line_traits(60, 12, 12)},
     {"coset-w4", "Coset-W4", "word-level restricted coset coding over per-word FPC slack",
-     SchemeTraits{32, 1, SchemeGranularity::kWord, false, false, true}},
+     SchemeTraits{32, 1, kBlockBits, SchemeGranularity::kWord, false, false, true}},
 }};
 
 /// Parses the decimal integer that is the whole remainder of `s`.
@@ -111,12 +113,19 @@ const SchemeSpecInfo* find_scheme_info(std::string_view spec) {
 }
 
 std::unique_ptr<HardErrorScheme> make_scheme(std::string_view spec) {
-  return parse_scheme(spec);
+  auto scheme = parse_scheme(spec);
+  // encode() packs metadata into one u64 (EncodeResult::meta), so a scheme
+  // reporting more bits would shift past bit 63. ECP-N>6 is the exception:
+  // metadata_bits() reports the honest hardware cost of N real pointers, while
+  // its simulated word stores only the replacement bits.
+  expects(starts_with(spec, "ecp") || scheme->traits().metadata_bits <= 64,
+          "scheme metadata exceeds the 64-bit ECC-chip budget");
+  return scheme;
 }
 
 bool is_scheme_spec(std::string_view spec) {
   try {
-    (void)parse_scheme(spec);
+    (void)make_scheme(spec);
     return true;
   } catch (const ContractViolation&) {
     return false;

@@ -12,7 +12,8 @@
 //
 // Grammar (parameterized; the canonical list below is just the registered
 // subset): ecp<N> (N in 1..12), safer<P>[-ideal] (P a power of two),
-// aegis<R>x<C>, secded, bch-t<T> (T in 1..6), coset-w<W> (W in {4, 8}).
+// aegis<R>x<C> (max(R, C) <= 58), secded, bch-t<T> (T in 1..6),
+// coset-w<W> (W in {4, 8}).
 #pragma once
 
 #include <memory>
@@ -42,7 +43,8 @@ struct SchemeSpecInfo {
 [[nodiscard]] const SchemeSpecInfo* find_scheme_info(std::string_view spec);
 
 /// Parses `spec` and constructs the scheme. Throws ContractViolation on an
-/// unknown spec or out-of-range parameters.
+/// unknown spec, out-of-range parameters, or metadata past the 64-bit word
+/// (ECP-N>6 excepted: its simulated word is compact, see ecc/ecp.cpp).
 [[nodiscard]] std::unique_ptr<HardErrorScheme> make_scheme(std::string_view spec);
 
 /// True when make_scheme(spec) would succeed.

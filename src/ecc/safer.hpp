@@ -34,6 +34,8 @@ class SaferScheme final : public HardErrorScheme {
   [[nodiscard]] std::string_view name() const override { return name_; }
   [[nodiscard]] std::size_t metadata_bits() const override;
   [[nodiscard]] std::size_t guaranteed_correctable() const override { return fields_ + 1; }
+  /// Each of the P groups holds at most one fault.
+  [[nodiscard]] std::size_t max_tolerable() const override { return partitions_; }
   [[nodiscard]] bool can_tolerate(std::span<const FaultCell> faults,
                                   std::size_t window_bits) const override;
   [[nodiscard]] std::optional<EncodeResult> encode(

@@ -8,6 +8,7 @@ SchemeTraits HardErrorScheme::traits() const {
   SchemeTraits t;
   t.metadata_bits = metadata_bits();
   t.guaranteed_correctable = guaranteed_correctable();
+  t.max_tolerable = max_tolerable();
   return t;
 }
 

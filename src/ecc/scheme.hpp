@@ -44,6 +44,7 @@ enum class SchemeGranularity : std::uint8_t {
 struct SchemeTraits {
   std::size_t metadata_bits = 0;          ///< == metadata_bits()
   std::size_t guaranteed_correctable = 0; ///< == guaranteed_correctable()
+  std::size_t max_tolerable = kBlockBits; ///< == max_tolerable()
   SchemeGranularity granularity = SchemeGranularity::kLine;
   /// Works on sub-line windows, i.e. composes with the paper's sliding
   /// compression window. False for whole-line-only codes (SECDED, coset).
@@ -69,6 +70,12 @@ class HardErrorScheme {
 
   /// Fault count the scheme corrects for *every* fault pattern.
   [[nodiscard]] virtual std::size_t guaranteed_correctable() const = 0;
+
+  /// Largest fault count *any* pattern can survive: can_tolerate() and
+  /// can_tolerate_with() are false for every window holding more stuck cells,
+  /// so placement can reject such a window from its fault count alone. The
+  /// default, kBlockBits, means no bound.
+  [[nodiscard]] virtual std::size_t max_tolerable() const { return kBlockBits; }
 
   /// True when a window of `window_bits` cells containing exactly the given
   /// stuck cells can still store arbitrary data. Positions are window-relative

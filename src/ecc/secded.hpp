@@ -20,6 +20,8 @@ class SecdedScheme final : public HardErrorScheme {
   [[nodiscard]] std::string_view name() const override { return "SECDED-72.64"; }
   [[nodiscard]] std::size_t metadata_bits() const override { return 64; }
   [[nodiscard]] std::size_t guaranteed_correctable() const override { return 1; }
+  /// One fault per 64-bit word, eight words per line.
+  [[nodiscard]] std::size_t max_tolerable() const override { return kBlockBits / 64; }
   /// Check bits span fixed 64-bit words of the whole line: no sub-line
   /// windows, and only the Baseline (uncompressed, non-sliding) mode is legal.
   [[nodiscard]] SchemeTraits traits() const override {

@@ -48,12 +48,15 @@ bool trial_survives(const HardErrorScheme& scheme, std::size_t data_bytes,
                                  ? kBlockBytes
                                  : (data_bytes <= kBlockBytes ? kBlockBytes - data_bytes + 1 : 0);
 
-  // Pass 1: prefix-sum counts only. A window whose count already passed the
-  // guaranteed bound decides the trial without the full tolerance check.
+  // Pass 1: prefix-sum counts only. A window at or below the guaranteed bound
+  // decides the trial without the full tolerance check; one above
+  // max_tolerable() can never tolerate, so it is not queued for pass 2.
+  const std::size_t bound = scheme.max_tolerable();
   scratch.windows.clear();
   for (std::size_t start = 0; start < starts; ++start) {
     const std::size_t n = count_in(start);
     if (n <= guaranteed) return true;
+    if (n > bound) continue;
     scratch.windows.emplace_back(static_cast<std::uint16_t>(n),
                                  static_cast<std::uint16_t>(start));
   }

@@ -1,8 +1,9 @@
 // The ECC registry's contracts: every registered spec round-trips through
 // make_scheme with a name/traits snapshot that matches the constructed
-// scheme, the parameterized grammar accepts/rejects what it documents, and
-// every scheme (old families and the BCH-t / coset extensions alike) survives
-// a randomized encode -> stuck-cells -> decode property sweep.
+// scheme, the parameterized grammar accepts/rejects what it documents, every
+// scheme's max_tolerable() is an honest bound, and every scheme (old families
+// and the BCH-t / coset extensions alike) survives a randomized encode ->
+// stuck-cells -> decode property sweep.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "ecc/aegis.hpp"
 #include "ecc/bch.hpp"
 #include "ecc/coset.hpp"
 #include "ecc/registry.hpp"
@@ -53,6 +55,8 @@ TEST(Registry, EveryRegisteredSpecConstructsAndMatchesItsSnapshot) {
     // The traits snapshot must agree with the scheme's own virtuals.
     EXPECT_EQ(info.traits.metadata_bits, scheme->metadata_bits());
     EXPECT_EQ(info.traits.guaranteed_correctable, scheme->guaranteed_correctable());
+    EXPECT_EQ(info.traits.max_tolerable, scheme->max_tolerable());
+    EXPECT_GE(info.traits.max_tolerable, info.traits.guaranteed_correctable);
     // find_scheme_info resolves canonical specs to the same entry.
     const auto* found = find_scheme_info(info.spec);
     ASSERT_NE(found, nullptr);
@@ -81,6 +85,87 @@ TEST(Registry, MalformedOrOutOfRangeSpecsAreRejected) {
     SCOPED_TRACE(spec);
     EXPECT_FALSE(is_scheme_spec(spec));
     EXPECT_THROW((void)make_scheme(spec), ContractViolation);
+  }
+}
+
+TEST(Registry, AegisGridsPastTheMetadataWordAreRejected) {
+  // Vertical-direction flip bits (one per row) would shift past bit 63:
+  // 61x29 needs 6 + 61 = 67 bits, 59x9 needs 65.
+  for (const char* spec : {"aegis61x29", "aegis59x9"}) {
+    SCOPED_TRACE(spec);
+    EXPECT_FALSE(is_scheme_spec(spec));
+    EXPECT_THROW((void)make_scheme(spec), ContractViolation);
+  }
+}
+
+TEST(Registry, AegisAtTheMetadataWordEdgeRoundTripsThroughTheVerticalDirection) {
+  // 58x9 fills all 64 bits. Past 9 faults no slope direction (9 groups) can
+  // separate them, so encode must use the 58-group vertical direction, whose
+  // top flip bit is bit 63.
+  const AegisScheme aegis(58, 9);
+  EXPECT_EQ(aegis.metadata_bits(), 64u);
+  EXPECT_EQ(make_scheme("aegis58x9")->metadata_bits(), 64u);
+  Rng rng(58);
+  int vertical = 0;
+  for (int iter = 0; iter < 200; ++iter) {
+    const auto faults = random_faults(rng, 12, kBlockBits);
+    const auto dir = aegis.find_direction(faults);
+    if (!dir) continue;
+    ASSERT_EQ(*dir, 9u) << "12 faults cannot be separated by 9 groups";
+    ++vertical;
+    const auto data = random_data(rng, kBlockBits);
+    const auto enc = aegis.encode(data, kBlockBits, faults);
+    ASSERT_TRUE(enc.has_value());
+    const auto stored = apply_faults(enc->image, kBlockBits, faults);
+    ASSERT_EQ(aegis.decode(stored, kBlockBits, enc->meta, faults), data);
+  }
+  EXPECT_GT(vertical, 0);
+}
+
+TEST(Registry, MaxTolerableMatchesEachFamilysStructure) {
+  EXPECT_EQ(make_scheme("ecp3")->max_tolerable(), 3u);      // one entry per fault
+  EXPECT_EQ(make_scheme("bch-t4")->max_tolerable(), 8u);    // 2t erasures
+  EXPECT_EQ(make_scheme("safer16")->max_tolerable(), 16u);  // one fault per group
+  EXPECT_EQ(make_scheme("aegis19x29")->max_tolerable(), 29u);  // most groups
+  EXPECT_EQ(make_scheme("secded")->max_tolerable(), 8u);    // one per 64-bit word
+  EXPECT_EQ(make_scheme("coset-w8")->max_tolerable(), kBlockBits);  // slack is free
+}
+
+// ---------------------------------------------------------------------------
+// Trait honesty: no pattern of more than max_tolerable() faults may pass the
+// scheme's own check, at any window size the scheme accepts. Placement
+// rejects such windows from their fault count alone, so a bound that is too
+// low would silently change which windows fit. Content-aware checks get
+// random per-cell content sizes (line schemes ignore them).
+
+TEST(Registry, NoPatternAboveMaxTolerablePasses) {
+  constexpr std::size_t kWindowBytes[] = {8, 17, 32, 64};
+  Rng rng(0xB0B0);
+  for (const auto& info : registered_schemes()) {
+    SCOPED_TRACE(std::string(info.spec));
+    const auto scheme = make_scheme(info.spec);
+    const std::size_t bound = scheme->max_tolerable();
+    std::size_t checked = 0;
+    for (const std::size_t bytes : kWindowBytes) {
+      // Whole-line codes (SECDED, coset) only accept the full line.
+      if (!info.traits.composes_with_window && bytes != kBlockBytes) continue;
+      const std::size_t window_bits = bytes * 8;
+      for (std::size_t n = bound + 1; n <= bound + 8 && n <= window_bits; ++n) {
+        for (int iter = 0; iter < 40; ++iter) {
+          const auto faults = random_faults(rng, n, window_bits);
+          std::vector<std::uint8_t> content(kBlockBits / 32);
+          for (auto& c : content) c = static_cast<std::uint8_t>(3 + rng.next_below(30));
+          ASSERT_FALSE(scheme->can_tolerate(faults, window_bits))
+              << n << " faults in " << bytes << " B";
+          ASSERT_FALSE(scheme->can_tolerate_with(faults, window_bits, content))
+              << n << " faults in " << bytes << " B with random content";
+          ++checked;
+        }
+      }
+    }
+    // A bounded scheme must have been probed; only an unbounded one (coset:
+    // max_tolerable() == kBlockBits) has no count above its bound to try.
+    EXPECT_EQ(checked == 0, bound >= kBlockBits);
   }
 }
 
@@ -219,6 +304,30 @@ TEST(Coset, SlackFaultsAreFreeOnCompressibleData) {
   ASSERT_TRUE(enc.has_value()) << "slack-aware encode absorbs 32 stuck cells";
   const auto stored = apply_faults(enc->image, kBlockBits, faults);
   EXPECT_EQ(coset.decode(stored, kBlockBits, enc->meta, faults), data);
+}
+
+TEST(Coset, NoPatternAboveSlackPlusOnePerWordPasses) {
+  // Coset declares no max_tolerable() bound because slack faults are free,
+  // but for given content its count bound is the slack bits plus one fault
+  // per word: random patterns past that must never pass.
+  for (const std::size_t word_bytes : {4u, 8u}) {
+    const CosetScheme coset(word_bytes);
+    EXPECT_EQ(coset.max_tolerable(), kBlockBits);
+    Rng rng(0xC05E + word_bytes);
+    for (int iter = 0; iter < 200; ++iter) {
+      std::vector<std::uint8_t> content(kBlockBits / 32);
+      std::size_t bound = kBlockBits / (8 * word_bytes);
+      for (auto& c : content) {
+        c = static_cast<std::uint8_t>(3 + rng.next_below(30));
+        bound += 32 - c;
+      }
+      for (std::size_t n = bound + 1; n <= bound + 8; ++n) {
+        ASSERT_FALSE(coset.can_tolerate_with(random_faults(rng, n, kBlockBits), kBlockBits,
+                                             content))
+            << n << " faults over a content bound of " << bound;
+      }
+    }
+  }
 }
 
 TEST(Coset, CellContentTracksFpcClasses) {

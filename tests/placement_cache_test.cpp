@@ -1,29 +1,49 @@
-// Coherence test for the cached fault state behind window placement.
+// Coherence test for the cached fault state and the count bounds behind
+// window placement.
 //
 // WindowPlacer::fits/find consult data_stuck_count() and byte_stuck_prefix(),
 // which PcmArray maintains incrementally at fault birth (wear-out writes and
-// inject_fault). The reference here recomputes every answer definitionally —
-// window_faults() scans the stuck bitmap directly and the scheme's
-// can_tolerate() is asked for every candidate — so any stale or miscounted
-// cache entry shows up as a fits/find divergence. Exercised three ways:
-// injected faults, faults born by wear-out writes, and a live PcmSystem with
-// Start-Gap moves and intra-line rotation churning the lines.
+// inject_fault), and decide windows from their fault count alone at or below
+// guaranteed_correctable() and above max_tolerable(). The reference here
+// recomputes every answer definitionally — window_faults() scans the stuck
+// bitmap directly and the scheme's can_tolerate() is asked for every
+// candidate, with no count pruning — so a stale or miscounted cache entry, or
+// a max_tolerable() that rejects a pattern the scheme would accept, shows up
+// as a fits/find divergence. Exercised for every line-granularity registry
+// scheme, two ways: injected faults, and faults born by wear-out writes in a
+// live PcmSystem with Start-Gap moves and intra-line rotation churning the
+// lines.
 #include "core/window.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/system.hpp"
+#include "ecc/registry.hpp"
 
 namespace pcmsim {
 namespace {
 
 constexpr std::uint8_t kSizes[] = {8, 17, 32, 64};
 constexpr std::uint8_t kPreferred[] = {0, 13, 47, 63};
+
+/// Every registry scheme that places sliding windows (ecp6, ecp12, safer32,
+/// aegis17x31, bch-t2, bch-t6).
+std::vector<std::string> windowed_specs() {
+  std::vector<std::string> out;
+  for (const auto& info : registered_schemes()) {
+    if (info.traits.granularity == SchemeGranularity::kLine && info.traits.composes_with_window) {
+      out.emplace_back(info.spec);
+    }
+  }
+  return out;
+}
 
 bool reference_fits(const HardErrorScheme& scheme, const PcmArray& array, std::size_t line,
                     std::uint8_t start, std::uint8_t size_bytes) {
@@ -90,18 +110,21 @@ void expect_cache_matches_scan(const PcmArray& array, std::size_t line) {
   }
 }
 
-TEST(PlacementCache, CoherentUnderInjectedFaults) {
+class PlacementCoherence : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(PlacementCoherence, CoherentUnderInjectedFaults) {
   PcmDeviceConfig cfg;
   cfg.lines = 6;
   cfg.endurance_mean = 1e4;
   cfg.seed = 5;
   PcmArray array(cfg);
-  const auto scheme = make_scheme("ecp6");
+  const auto scheme = make_scheme(GetParam());
   const WindowPlacer placer(*scheme);
 
   Rng driver(404);
-  // Densities from clean through "dodge-able" to saturated: the interesting
-  // transitions are at guaranteed_correctable() per line and per window.
+  // Densities from clean through "dodge-able" to saturated (up to ~60 faults
+  // per line): the interesting transitions are at guaranteed_correctable()
+  // and max_tolerable() per line and per window.
   for (std::size_t round = 0; round < 10; ++round) {
     for (std::size_t line = 0; line < cfg.lines; ++line) {
       const std::size_t births = 1 + driver.next_below(2 + round);
@@ -114,7 +137,7 @@ TEST(PlacementCache, CoherentUnderInjectedFaults) {
   }
 }
 
-TEST(PlacementCache, CoherentUnderWearOutBirthsAndGapMoves) {
+TEST_P(PlacementCoherence, CoherentUnderWearOutBirthsAndGapMoves) {
   // Faults born inside PcmSystem's write path (slow-path wear-out) with
   // Start-Gap copies and rotation moving windows around — the cache is
   // updated from on_fault_born, never rebuilt wholesale, so this catches any
@@ -126,8 +149,9 @@ TEST(PlacementCache, CoherentUnderWearOutBirthsAndGapMoves) {
   cfg.device.endurance_cov = 0.2;
   cfg.device.seed = 9;
   cfg.seed = 9;
+  cfg.ecc_spec = GetParam();
   PcmSystem system(cfg);
-  const auto scheme = make_scheme("ecp6");
+  const auto scheme = make_scheme(GetParam());
   const WindowPlacer placer(*scheme);
 
   Rng driver(505);
@@ -152,6 +176,14 @@ TEST(PlacementCache, CoherentUnderWearOutBirthsAndGapMoves) {
   }
   EXPECT_GT(total_stuck, 0u) << "run too short to birth any faults; weaken endurance";
 }
+
+INSTANTIATE_TEST_SUITE_P(WindowedSchemes, PlacementCoherence,
+                         ::testing::ValuesIn(windowed_specs()),
+                         [](const ::testing::TestParamInfo<std::string>& p) {
+                           std::string n = p.param;
+                           std::replace(n.begin(), n.end(), '-', '_');
+                           return n;
+                         });
 
 TEST(PlacementCache, SlideUpRejectsOverhangEvenOnCleanLines) {
   // Regression guard for the clean-line fast path: kSlideUp must still refuse
