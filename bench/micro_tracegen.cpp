@@ -1,18 +1,18 @@
 // Trace-subsystem microbenchmark: generation throughput of the
 // SampledTraceSource every lifetime/figure run uses, v2 trace-file
-// write/read throughput, and chunk-decode throughput serial vs parallel at
-// 1/2/4/8 threads. Emits machine-readable JSON (committed numbers live in
-// BENCH_tracegen.json).
+// write/read throughput, and FileTraceSource decode throughput. Emits
+// machine-readable JSON (committed numbers live in BENCH_tracegen.json).
 //
 // `--source file` skips the generation stage; only the file stages run.
 //
 // `--expect_checksum N` exits non-zero when the deterministic work checksum
 // deviates — a rolling hash over every event the default stages produce
-// (sampled generation for 3 apps, the v2 file round-trip, and the parallel
-// re-decode, which must match the serial stream bit-for-bit). CI runs this so
-// sampler/file-format/parallel-decode refactors that silently change a stream
-// fail loudly. The checksum is machine- and thread-count-independent but does
-// depend on the event count, so the gate pins --events too.
+// (sampled generation for 3 apps, the v2 file round-trip, and the
+// FileTraceSource re-decode, which must match the reader's stream
+// bit-for-bit). CI runs this so sampler/file-format refactors that silently
+// change a stream fail loudly. The checksum is machine- and
+// thread-count-independent but does depend on the event count, so the gate
+// pins --events too.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "common/cli.hpp"
-#include "common/parallel.hpp"
 #include "common/profiler.hpp"
 #include "common/rng.hpp"
 #include "trace/file_source.hpp"
@@ -187,68 +186,21 @@ int main(int argc, char** argv) try {
               << "  \"v2_read_mb_per_sec\": " << payload_mb / wall_seconds(r0, r1) << ",\n";
   }
 
-  // --- Stage 3: chunk-decode throughput, serial vs parallel ----------------
-  // Re-reads the stage-2 file through FileTraceSource in both decode modes.
-  // The parallel sweep pins 1/2/4/8 threads; every delivered stream must hash
-  // to the serial stream's value (byte-identical reassembly), and that
-  // equality is folded into the gate so CI catches ordering bugs at any
-  // thread count. events_per_sec counts delivered events; mb_per_sec is the
-  // same 72 B/event payload basis as stage 2.
+  // --- Stage 3: FileTraceSource decode throughput -------------------------
+  // Re-reads the stage-2 file through FileTraceSource; the delivered stream
+  // must hash to the reader's value. mb_per_sec is the same 72 B/event
+  // payload basis as stage 2.
   {
-    const std::size_t saved_threads = parallel_threads();
-    const auto drain = [&](FileTraceSource& src) {
-      std::vector<WritebackEvent> batch(256);
-      std::uint64_t h = 0x9E3779B97F4A7C15ull;
-      std::size_t done = 0;
-      for (;;) {
-        const std::size_t n = src.next_batch(std::span(batch.data(), batch.size()));
-        if (n == 0) break;
-        for (std::size_t i = 0; i < n; ++i) h = fold_event(h, batch[i]);
-        done += n;
-      }
-      return std::pair<std::uint64_t, std::size_t>{h, done};
-    };
-
-    FileTraceSource serial(path, TraceDecode::kSerial);
-    const auto s0 = Clock::now();
-    const auto [sh, sn] = drain(serial);
-    const auto s1 = Clock::now();
-    if (sh != serial_checksum || sn != events) {
+    FileTraceSource source(path);
+    const SourceRun sr = run_source(source, events);
+    if (sr.checksum != serial_checksum || sr.events != events) {
       std::cerr << "serial FileTraceSource diverged from TraceFileReader stream\n";
       return 1;
     }
-    const double s_wall = wall_seconds(s0, s1);
-    std::cout << "  \"v2_decode_serial_mb_per_sec\": " << payload_mb / s_wall << ",\n"
-              << "  \"v2_decode_serial_events_per_sec\": "
-              << static_cast<double>(events) / s_wall << ",\n"
-              << "  \"v2_decode_parallel\": {";
-
-    bool first = true;
-    bool all_equal = true;
-    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-      set_parallel_threads(threads);
-      FileTraceSource par(path, TraceDecode::kParallel);
-      const auto p0 = Clock::now();
-      const auto [ph, pn] = drain(par);
-      const auto p1 = Clock::now();
-      all_equal = all_equal && ph == serial_checksum && pn == events;
-      const double p_wall = wall_seconds(p0, p1);
-      std::cout << (first ? "" : ",") << "\n    \"t" << threads << "\": {"
-                << "\"mb_per_sec\": " << payload_mb / p_wall
-                << ", \"events_per_sec\": " << static_cast<double>(events) / p_wall
-                << ", \"matches_serial\": " << (ph == serial_checksum ? "true" : "false")
-                << "}";
-      first = false;
-    }
-    set_parallel_threads(saved_threads);
-    std::cout << "\n  },\n";
-    if (!all_equal) {
-      std::cerr << "parallel decode stream diverged from serial order\n";
-      std::remove(path.c_str());
-      return 1;
-    }
-    // Fold the verified equality (not the thread-dependent timings) into the
-    // gate: same value as folding the serial stream twice more.
+    std::cout << "  \"v2_decode_serial_mb_per_sec\": "
+              << payload_mb * 1e9 / (sr.ns_per_event * static_cast<double>(events)) << ",\n"
+              << "  \"v2_decode_serial_events_per_sec\": " << 1e9 / sr.ns_per_event << ",\n";
+    // The pinned gate value includes this second fold of the verified stream.
     checksum = mix64(checksum ^ mix64(serial_checksum));
   }
   std::remove(path.c_str());
@@ -257,7 +209,7 @@ int main(int argc, char** argv) try {
   std::cout << "  \"checksum\": " << gate << "\n}\n";
   if (expect_checksum >= 0 && static_cast<std::size_t>(expect_checksum) != gate) {
     std::cerr << "checksum mismatch: expected " << expect_checksum << ", got " << gate
-              << " — trace source, file-format or parallel-decode behaviour changed\n";
+              << " — trace source or file-format behaviour changed\n";
     return 1;
   }
   return 0;

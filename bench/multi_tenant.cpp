@@ -75,7 +75,7 @@ int main(int argc, char** argv) try {
   cfg.tenant_batch = static_cast<std::size_t>(args.get_int("tenant_batch", 256));
   cfg.arrival_gap_cycles = static_cast<std::uint64_t>(args.get_int("gap_cycles", 16));
   cfg.prefetch = args.get_bool("prefetch");
-  // `--tier-kb N --tier-policy lru|silent|comp|dedup` fronts every shard with
+  // `--tier-kb N --tier-policy lru|silent|comp` fronts every shard with
   // a content-aware DRAM tier (capacity is per shard). Off by default, which
   // keeps the pre-tier pinned checksum byte-identical.
   const auto tier_kb = static_cast<std::size_t>(args.get_int("tier-kb", 0));
@@ -135,7 +135,6 @@ int main(int argc, char** argv) try {
             << "    \"offered\": " << result.tier.offered << ",\n"
             << "    \"absorbed\": " << result.tier.absorbed() << ",\n"
             << "    \"silent_drops\": " << result.tier.silent_drops << ",\n"
-            << "    \"dedup_shares\": " << result.tier.dedup_shares << ",\n"
             << "    \"evictions\": " << result.tier.evictions << "\n"
             << "  },\n"
             << "  \"modeled_write_latency_cycles_mean\": " << lat.mean() << ",\n"

@@ -2,7 +2,7 @@
 // L1/L2 hierarchy (the gem5 substitute) and compression ratio measured with
 // best-of-BDI/FPC, against the paper's reported values.
 //
-// `--tier-kb N [--tier-policy lru|silent|comp|dedup]` closes the full
+// `--tier-kb N [--tier-policy lru|silent|comp]` closes the full
 // cache → DRAM front tier → PCM loop: every dirty L2 victim is offered to a
 // FrontTier (tier/writeback_sink.hpp) whose evictions land on a PcmSystem,
 // and a second table reports how much of each app's write-back stream the

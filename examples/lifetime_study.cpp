@@ -9,8 +9,6 @@
 //                      Table III and Fig 6
 //   --trace FILE       loop a captured v2 trace file (values re-versioned
 //                      each pass so differential writes keep flipping cells)
-//   --decode parallel  fan v2 chunk decode over the thread pool (--trace only;
-//                      byte-identical stream, lower decode latency)
 //   --prefetch         fill trace batches on a background thread, overlapping
 //                      generation/decode with write execution
 //   --ecc SPEC         hard-error scheme by registry spec ("ecp6", "bch-t6",
@@ -32,7 +30,6 @@
 #include <iostream>
 #include <mutex>
 
-#include "common/assert.hpp"
 #include "common/cli.hpp"
 #include "common/parallel.hpp"
 #include "common/profiler.hpp"
@@ -46,7 +43,7 @@ using namespace pcmsim;
 
 namespace {
 
-/// Shared `--tier-kb N --tier-policy lru|silent|comp|dedup` parsing; returns
+/// Shared `--tier-kb N --tier-policy lru|silent|comp` parsing; returns
 /// a disabled config when the flags are absent, so every pre-tier invocation
 /// behaves (and checksums) exactly as before.
 FrontTierConfig tier_config_from_cli(const CliArgs& args) {
@@ -139,10 +136,9 @@ int run_multi_tenant(const CliArgs& args) {
 }  // namespace
 
 int main(int argc, char** argv) try {
-  const CliArgs args(argc, argv, {"app", "apps", "channels", "cov", "decode", "ecc", "endurance",
-                                  "events", "gap_cycles", "lines", "prefetch", "profile", "seed",
-                                  "shards", "tenants", "threads", "tier-kb", "tier-policy",
-                                  "trace"});
+  const CliArgs args(argc, argv, {"app", "apps", "channels", "cov", "ecc", "endurance", "events",
+                                  "gap_cycles", "lines", "prefetch", "profile", "seed", "shards",
+                                  "tenants", "threads", "tier-kb", "tier-policy", "trace"});
   set_threads_from_cli(args);
   if (args.has("tenants") || args.has("shards")) return run_multi_tenant(args);
   if (args.get_bool("profile")) prof::set_enabled(true);
@@ -165,19 +161,13 @@ int main(int argc, char** argv) try {
   lc.system.ecc_spec = ecc_spec;
 
   const std::string trace_path = args.get("trace", "");
-  const std::string decode_kind = args.get("decode", "serial");
-  expects(decode_kind == "serial" || decode_kind == "parallel",
-          "--decode must be 'serial' or 'parallel'");
-  const TraceDecode decode =
-      decode_kind == "parallel" ? TraceDecode::kParallel : TraceDecode::kSerial;
   lc.prefetch = args.get_bool("prefetch");
   lc.tier = tier_config_from_cli(args);
 
   std::cout << "Workload: " << app.name << " (WPKI " << app.wpki << ", Table III CR "
             << app.table_cr << ", bucket " << to_string(app.bucket) << ")\n";
   if (!trace_path.empty()) {
-    std::cout << "Source: looped trace replay of " << trace_path << " (" << decode_kind
-              << " decode)\n";
+    std::cout << "Source: looped trace replay of " << trace_path << "\n";
   }
   if (lc.prefetch) std::cout << "Prefetch: background batch fill enabled\n";
   if (lc.tier.enabled()) {
@@ -209,7 +199,7 @@ int main(int argc, char** argv) try {
     LifetimeConfig run_lc = lc;
     run_lc.system.mode = mode;
     if (!trace_path.empty()) {
-      LoopedFileTraceSource source(trace_path, decode);
+      LoopedFileTraceSource source(trace_path);
       return run_lifetime(source, run_lc);
     }
     // run_lifetime's default path constructs the sampled source folded onto

@@ -1,9 +1,13 @@
 #include "common/parallel.hpp"
 
 #include <atomic>
+#include <charconv>
 #include <condition_variable>
 #include <cstdlib>
 #include <mutex>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 #include <thread>
 
 #include "common/cli.hpp"
@@ -12,12 +16,20 @@ namespace pcmsim {
 
 namespace {
 
+/// PCMSIM_THREADS as a worker count, 0 (auto) when unset or empty. Anything
+/// but a non-negative integer is an error naming the variable, never a
+/// silently ignored or wrapped value.
 std::size_t env_threads() {
   const char* s = std::getenv("PCMSIM_THREADS");
-  if (!s) return 0;
-  char* end = nullptr;
-  const unsigned long v = std::strtoul(s, &end, 10);
-  return (end != s && *end == '\0') ? static_cast<std::size_t>(v) : 0;
+  if (s == nullptr || *s == '\0') return 0;
+  const std::string_view value(s);
+  std::size_t v = 0;
+  const auto [ptr, ec] = std::from_chars(value.data(), value.data() + value.size(), v);
+  if (ec != std::errc{} || ptr != value.data() + value.size()) {
+    throw std::invalid_argument("PCMSIM_THREADS: expected a non-negative integer, got '" +
+                                std::string(value) + "'");
+  }
+  return v;
 }
 
 std::size_t auto_threads() {
@@ -192,6 +204,10 @@ void set_parallel_threads(std::size_t n) { Pool::instance().set_threads(n); }
 
 std::size_t set_threads_from_cli(const CliArgs& args) {
   const std::int64_t n = args.get_int("threads", 0);
+  if (n < 0) {
+    throw std::invalid_argument("--threads: expected a non-negative integer (0 = auto), got '" +
+                                std::to_string(n) + "'");
+  }
   if (n > 0) set_parallel_threads(static_cast<std::size_t>(n));
   return parallel_threads();
 }

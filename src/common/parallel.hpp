@@ -29,7 +29,8 @@ namespace pcmsim {
 
 class CliArgs;
 
-/// Worker count the next parallel region will use (>= 1).
+/// Worker count the next parallel region will use (>= 1). Throws
+/// std::invalid_argument when it falls back to a malformed PCMSIM_THREADS.
 [[nodiscard]] std::size_t parallel_threads();
 
 /// Overrides the worker count; 0 restores automatic selection
@@ -37,8 +38,10 @@ class CliArgs;
 /// regions; an active pool is drained and restarted at the new size.
 void set_parallel_threads(std::size_t n);
 
-/// Applies a `--threads N` CLI flag (if present) and returns the resolved
-/// worker count. Flag > PCMSIM_THREADS env > hardware_concurrency.
+/// Applies a `--threads N` CLI flag (if present; 0 means auto) and returns the
+/// resolved worker count. Flag > PCMSIM_THREADS env > hardware_concurrency.
+/// A negative flag or a PCMSIM_THREADS that is not a non-negative integer
+/// throws std::invalid_argument naming it.
 std::size_t set_threads_from_cli(const CliArgs& args);
 
 /// Runs fn(0) .. fn(n-1), distributed over the pool. Blocks until all

@@ -30,7 +30,7 @@ enum class Stage : std::uint8_t {
   kTraceGen,   ///< synthetic write-back generation (workload/trace)
   kTraceWait,  ///< consumer-side wait+copy under PrefetchTraceSource
   kTierFilter, ///< DRAM front-tier filtering (tier/front_tier: lookup,
-               ///< fingerprint, dedup, victim choice; excludes PCM forwards)
+               ///< fingerprint, victim choice; excludes PCM forwards)
   kCompress,   ///< best-of(BDI,FPC) compression
   kHeuristic,  ///< Fig-8 write decision
   kPlace,      ///< window placement search (find/fits)

@@ -69,9 +69,7 @@ LifetimeResult run_lifetime_on(PcmSystem& system, TraceSource& source,
   if (tier) {
     tier->finish_timing();
     result.tier = tier->stats();
-    if (const MemoryController* mc = tier->controller()) {
-      result.tier_write_latency_cycles = mc->write_latency().mean();
-    }
+    result.tier_write_latency_cycles = tier->controller()->write_latency().mean();
   }
   // The polled check can miss a failure that lands between the last interval
   // boundary and the max_writes cap; settle it with one final check.

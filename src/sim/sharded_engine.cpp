@@ -313,9 +313,7 @@ ShardedRunResult ShardedPcmEngine::run(std::uint64_t max_events) {
       // DRAM at the end never cost PCM writes.
       s.tier->finish_timing();
       row.tier = s.tier->stats();
-      if (const MemoryController* mc = s.tier->controller()) {
-        row.tier_write_latency_mean = mc->write_latency().mean();
-      }
+      row.tier_write_latency_mean = s.tier->controller()->write_latency().mean();
       result.tier.merge(row.tier);
     }
     result.total.merge(row.stats);
@@ -378,7 +376,7 @@ ShardedRunResult ShardedPcmEngine::run(std::uint64_t max_events) {
       fold(s.tier.silent_drops);
       fold(s.tier.inserts);
       fold(s.tier.evictions);
-      fold(s.tier.dedup_shares);
+      fold(s.tier.dedup_shares);  // always zero; folded so the pinned digest holds
       fold(s.tier.fp_false_hits);
       fold(s.tier.words_forwarded);
       fold(s.tier.words_touched);

@@ -14,7 +14,6 @@ std::string_view to_string(TierPolicy p) {
     case TierPolicy::kLru: return "lru";
     case TierPolicy::kSilent: return "silent";
     case TierPolicy::kComp: return "comp";
-    case TierPolicy::kDedup: return "dedup";
   }
   return "?";
 }
@@ -23,8 +22,7 @@ TierPolicy tier_policy_from_string(std::string_view s) {
   if (s == "lru") return TierPolicy::kLru;
   if (s == "silent") return TierPolicy::kSilent;
   if (s == "comp") return TierPolicy::kComp;
-  if (s == "dedup") return TierPolicy::kDedup;
-  expects(false, "tier policy must be lru, silent, comp, or dedup");
+  expects(false, "tier policy must be lru, silent, or comp");
   return TierPolicy::kLru;  // unreachable
 }
 
@@ -57,7 +55,7 @@ std::uint64_t FrontTier::fingerprint(const Block& data) {
 }
 
 FrontTier::FrontTier(const FrontTierConfig& config, ForwardSink sink)
-    : config_(config), sink_(std::move(sink)) {
+    : config_(config), sink_(std::move(sink)), controller_(config_.controller) {
   expects(config_.enabled(), "FrontTier requires capacity_lines > 0 (use the "
                              "embedding seam's disabled default instead)");
   expects(config_.ways >= 1, "tier needs at least one way");
@@ -65,12 +63,8 @@ FrontTier::FrontTier(const FrontTierConfig& config, ForwardSink sink)
           "tier capacity must hold at least one full set");
   expects(sink_ != nullptr, "tier needs a forward sink");
   sets_ = config_.capacity_lines / config_.ways;
-  tag_ways_ = config_.policy == TierPolicy::kDedup
-                  ? std::max(config_.dedup_tag_ways, config_.ways)
-                  : config_.ways;
-  tags_.resize(sets_ * tag_ways_);
+  tags_.resize(sets_ * config_.ways);
   payloads_.resize(sets_ * config_.ways);
-  if (config_.model_latency) controller_.emplace(config_.controller);
 }
 
 std::size_t FrontTier::set_of(LineAddr line) const {
@@ -79,65 +73,44 @@ std::size_t FrontTier::set_of(LineAddr line) const {
   return static_cast<std::size_t>(mix64(line) % sets_);
 }
 
-FrontTier::TagEntry* FrontTier::find(std::size_t set, LineAddr line) {
-  TagEntry* base = tags_.data() + set * tag_ways_;
-  for (std::size_t w = 0; w < tag_ways_; ++w) {
-    if (base[w].valid && base[w].line == line) return base + w;
+std::size_t FrontTier::find(std::size_t set, LineAddr line) const {
+  const std::size_t base = set * config_.ways;
+  for (std::size_t i = base; i < base + config_.ways; ++i) {
+    if (tags_[i].valid && tags_[i].line == line) return i;
   }
-  return nullptr;
-}
-
-const FrontTier::TagEntry* FrontTier::find(std::size_t set, LineAddr line) const {
-  return const_cast<FrontTier*>(this)->find(set, line);
+  return tags_.size();
 }
 
 std::size_t FrontTier::choose_victim(std::size_t set) const {
-  const TagEntry* base = tags_.data() + set * tag_ways_;
+  const std::size_t ways = config_.ways;
+  const TagEntry* base = tags_.data() + set * ways;
   if (config_.policy == TierPolicy::kComp) {
     // Compressibility-aware retention: among the least-recently-used half of
-    // the resident entries, evict the one whose payload compresses smallest
-    // (cheapest to rewrite in PCM); ties go to the older entry. Incompressible
-    // lines therefore survive roughly twice as long as plain LRU would keep
-    // them, at the same capacity.
-    std::vector<std::size_t> valid;
-    valid.reserve(tag_ways_);
-    for (std::size_t w = 0; w < tag_ways_; ++w) {
-      if (base[w].valid) valid.push_back(w);
-    }
-    std::sort(valid.begin(), valid.end(),
+    // the set, evict the entry whose payload compresses smallest (cheapest
+    // to rewrite in PCM); ties go to the older entry. Incompressible lines
+    // therefore survive roughly twice as long as plain LRU would keep them,
+    // at the same capacity.
+    std::vector<std::size_t> order(ways);
+    for (std::size_t w = 0; w < ways; ++w) order[w] = w;
+    std::sort(order.begin(), order.end(),
               [&](std::size_t a, std::size_t b) { return base[a].lru < base[b].lru; });
-    const std::size_t half = (valid.size() + 1) / 2;
-    std::size_t best = valid[0];
-    const PayloadSlot* slots = payloads_.data() + set * config_.ways;
-    for (std::size_t i = 1; i < half; ++i) {
-      const std::size_t w = valid[i];
-      if (slots[base[w].payload].plan_size < slots[base[best].payload].plan_size) best = w;
+    const PayloadSlot* slots = payloads_.data() + set * ways;
+    std::size_t best = order[0];
+    for (std::size_t i = 1; i < (ways + 1) / 2; ++i) {
+      if (slots[order[i]].plan_size < slots[best].plan_size) best = order[i];
     }
     return best;
   }
-  std::size_t best = tag_ways_;
-  for (std::size_t w = 0; w < tag_ways_; ++w) {
-    if (!base[w].valid) continue;
-    if (best == tag_ways_ || base[w].lru < base[best].lru) best = w;
+  std::size_t best = 0;
+  for (std::size_t w = 1; w < ways; ++w) {
+    if (base[w].lru < base[best].lru) best = w;
   }
-  ensures(best != tag_ways_, "choose_victim called on an empty set");
   return best;
 }
 
-void FrontTier::release_payload(std::size_t set, std::uint32_t slot) {
-  PayloadSlot& p = payloads_[set * config_.ways + slot];
-  ensures(p.refs > 0, "payload refcount underflow");
-  if (--p.refs == 0) --payloads_used_;
-}
-
-void FrontTier::evict(std::size_t set, std::size_t idx, bool count_as_flush) {
-  TagEntry& e = tags_[set * tag_ways_ + idx];
-  ensures(e.valid, "evicting an invalid tier entry");
-  const PayloadSlot& p = payloads_[set * config_.ways + e.payload];
-  Forward fwd;
-  fwd.line = e.line;
-  fwd.tag = e.tag;
-  fwd.data = p.data;
+void FrontTier::evict(std::size_t idx) {
+  TagEntry& e = tags_[idx];
+  const PayloadSlot& p = payloads_[idx];
   if (content_aware()) {
     pcm_resident_[e.line] = ResidentLine{p.fp, p.data};
     stats_.words_touched += static_cast<std::uint64_t>(std::popcount(e.touched));
@@ -145,15 +118,10 @@ void FrontTier::evict(std::size_t set, std::size_t idx, bool count_as_flush) {
     stats_.words_touched += kBlockBytes / 4;  // content-blind: full line
   }
   stats_.words_forwarded += kBlockBytes / 4;
-  if (count_as_flush) {
-    ++stats_.flushes;
-  } else {
-    ++stats_.evictions;
-  }
-  release_payload(set, e.payload);
+  ++stats_.evictions;
   e.valid = false;
   --resident_;
-  pending_.push_back(fwd);
+  pending_.push_back(Forward{e.line, e.tag, p.data});
 }
 
 void FrontTier::drain_forwards() {
@@ -164,52 +132,12 @@ void FrontTier::drain_forwards() {
   pending_.clear();
 }
 
-FrontTier::SlotClaim FrontTier::claim_payload(std::size_t set, const Block& data,
-                                              std::uint64_t fp, std::uint8_t plan_size,
-                                              const TagEntry* keep) {
-  PayloadSlot* slots = payloads_.data() + set * config_.ways;
-  if (config_.policy == TierPolicy::kDedup) {
-    for (std::size_t s = 0; s < config_.ways; ++s) {
-      if (slots[s].refs == 0 || slots[s].fp != fp) continue;
-      if (std::memcmp(slots[s].data.data(), data.data(), kBlockBytes) == 0) {
-        ++slots[s].refs;
-        ++stats_.dedup_shares;
-        return SlotClaim{static_cast<std::uint32_t>(s), true};
-      }
-      ++stats_.fp_false_hits;
-    }
-  }
-  for (;;) {
-    for (std::size_t s = 0; s < config_.ways; ++s) {
-      if (slots[s].refs != 0) continue;
-      slots[s].data = data;
-      slots[s].fp = fp;
-      slots[s].plan_size = plan_size;
-      slots[s].refs = 1;
-      ++payloads_used_;
-      return SlotClaim{static_cast<std::uint32_t>(s), false};
-    }
-    // Every payload slot is referenced (possible only under kDedup's tag
-    // over-provisioning): evict LRU entries — never the one being updated —
-    // until a slot frees.
-    const TagEntry* base = tags_.data() + set * tag_ways_;
-    std::size_t victim = tag_ways_;
-    for (std::size_t w = 0; w < tag_ways_; ++w) {
-      if (!base[w].valid || base + w == keep) continue;
-      if (victim == tag_ways_ || base[w].lru < base[victim].lru) victim = w;
-    }
-    ensures(victim != tag_ways_, "tier payload slots exhausted with no evictable entry");
-    evict(set, victim);
-  }
-}
-
 void FrontTier::charge_latency(std::uint64_t order) {
-  if (!controller_) return;
   MemRequest req;
   req.arrival_cycle = order * config_.arrival_gap_cycles;
   req.is_read = false;
   req.bank = 0;
-  controller_->submit(req);
+  controller_.submit(req);
 }
 
 std::uint16_t FrontTier::touched_words(const Block& before, const Block& after) const {
@@ -253,34 +181,26 @@ FrontTier::Outcome FrontTier::put_impl(std::uint64_t order, LineAddr line, const
 
 FrontTier::Outcome FrontTier::filter(LineAddr line, const Block& data, std::uint32_t tag) {
   const std::size_t set = set_of(line);
-  if (TagEntry* e = find(set, line)) {
+  if (const std::size_t hit = find(set, line); hit != tags_.size()) {
     // Hit: the write-back coalesces in DRAM. Content-aware policies compare
     // payloads first so byte-identical rewrites don't even touch the stored
     // copy (and are reported as silent hits).
+    TagEntry& e = tags_[hit];
+    PayloadSlot& old = payloads_[hit];
     ++stats_.hits;
-    e->lru = ++tick_;
-    e->tag = tag;
-    PayloadSlot& old = payloads_[set * config_.ways + e->payload];
+    e.lru = ++tick_;
+    e.tag = tag;
     if (content_aware()) {
       const std::uint64_t fp = fingerprint(data);
       if (old.fp == fp && std::memcmp(old.data.data(), data.data(), kBlockBytes) == 0) {
         ++stats_.silent_hits;
         return Outcome::kSilentHit;
       }
-      e->touched = static_cast<std::uint16_t>(e->touched | touched_words(old.data, data));
-      const std::uint8_t psize = probe_plan_size(data);
-      if (config_.policy == TierPolicy::kDedup) {
-        release_payload(set, e->payload);
-        const SlotClaim claim = claim_payload(set, data, fp, psize, e);
-        e->payload = claim.slot;
-      } else {
-        old.data = data;
-        old.fp = fp;
-        old.plan_size = psize;
-      }
-    } else {
-      old.data = data;
+      e.touched = static_cast<std::uint16_t>(e.touched | touched_words(old.data, data));
+      old.fp = fp;
+      old.plan_size = probe_plan_size(data);
     }
+    old.data = data;
     return Outcome::kHit;
   }
 
@@ -305,75 +225,37 @@ FrontTier::Outcome FrontTier::filter(LineAddr line, const Block& data, std::uint
     }
   }
 
-  // Miss: allocate a tag entry (evicting the policy victim when the set is
-  // full), then attach a payload (shared under kDedup when an identical one
-  // is already resident).
-  TagEntry* base = tags_.data() + set * tag_ways_;
-  std::size_t idx = tag_ways_;
-  for (std::size_t w = 0; w < tag_ways_; ++w) {
-    if (!base[w].valid) {
-      idx = w;
-      break;
-    }
-  }
-  if (idx == tag_ways_) {
-    idx = choose_victim(set);
-    evict(set, idx);
+  // Miss: take the first free way, or evict the policy victim when the set
+  // is full.
+  const std::size_t base = set * config_.ways;
+  std::size_t idx = base;
+  while (idx < base + config_.ways && tags_[idx].valid) ++idx;
+  if (idx == base + config_.ways) {
+    idx = base + choose_victim(set);
+    evict(idx);
   }
   const std::uint8_t psize = content_aware() ? probe_plan_size(data) : kBlockBytes;
-  const SlotClaim claim = claim_payload(set, data, fp, psize, nullptr);
-  TagEntry& e = tags_[set * tag_ways_ + idx];
-  e.line = line;
-  e.valid = true;
-  e.payload = claim.slot;
-  e.tag = tag;
-  e.lru = ++tick_;
-  e.touched = touched;
+  tags_[idx] = TagEntry{line, true, tag, ++tick_, touched};
+  payloads_[idx] = PayloadSlot{data, fp, psize};
   ++resident_;
   ++stats_.inserts;
   return Outcome::kInserted;
 }
 
-void FrontTier::flush() {
-  for (std::size_t set = 0; set < sets_; ++set) {
-    for (std::size_t w = 0; w < tag_ways_; ++w) {
-      if (tags_[set * tag_ways_ + w].valid) evict(set, w, /*count_as_flush=*/true);
-    }
-  }
-  drain_forwards();
-}
-
-std::optional<FrontTier::Forward> FrontTier::invalidate(LineAddr line) {
-  const std::size_t set = set_of(line);
-  TagEntry* e = find(set, line);
-  if (e == nullptr) return std::nullopt;
-  Forward fwd;
-  fwd.line = e->line;
-  fwd.tag = e->tag;
-  fwd.data = payloads_[set * config_.ways + e->payload].data;
-  release_payload(set, e->payload);
-  e->valid = false;
-  --resident_;
-  ++stats_.invalidates;
-  return fwd;
-}
-
 void FrontTier::finish_timing() {
-  if (controller_ && !sealed_) {
-    controller_->finish();
+  if (!sealed_) {
+    controller_.finish();
     sealed_ = true;
   }
 }
 
 bool FrontTier::contains(LineAddr line) const {
-  return find(set_of(line), line) != nullptr;
+  return find(set_of(line), line) != tags_.size();
 }
 
 const Block* FrontTier::peek(LineAddr line) const {
-  const std::size_t set = set_of(line);
-  const TagEntry* e = find(set, line);
-  if (e == nullptr) return nullptr;
-  return &payloads_[set * config_.ways + e->payload].data;
+  const std::size_t idx = find(set_of(line), line);
+  return idx == tags_.size() ? nullptr : &payloads_[idx].data;
 }
 
 const Block* FrontTier::pcm_resident(LineAddr line) const {

@@ -1,82 +1,24 @@
 #include "trace/file_source.hpp"
 
-#include <algorithm>
 #include <cstring>
 
 #include "common/assert.hpp"
-#include "common/parallel.hpp"
 #include "common/rng.hpp"
 
 namespace pcmsim {
 
-FileTraceSource::FileTraceSource(const std::string& path, TraceDecode decode) {
-  if (decode == TraceDecode::kParallel) {
-    index_ = std::make_shared<const TraceFileIndex>(path);
-    total_records_ = index_->total_records();
-  } else {
-    serial_.emplace(path);
-    total_records_ = serial_->total_records();
-  }
-}
-
-void FileTraceSource::decode_next_window() {
-  // Fan the next window of chunk indices over the pool. The window is sized
-  // to keep every worker busy while staying a small multiple of one chunk's
-  // memory; slot i always uses decoder i, so a slot's decoder state is only
-  // ever touched by the one task that owns the slot in this region.
-  const std::size_t chunks = index_->chunk_count();
-  const std::size_t width = std::max<std::size_t>(std::size_t{1}, parallel_threads());
-  const std::size_t want = std::min(chunks - next_chunk_, 2 * width);
-  if (window_.size() < want) window_.resize(want);
-  while (decoders_.size() < want) {
-    decoders_.push_back(std::make_unique<TraceChunkDecoder>(index_));
-  }
-  const std::size_t base = next_chunk_;
-  parallel_for(want, [&](std::size_t i) { decoders_[i]->decode(base + i, window_[i]); });
-  // Only reached when every chunk decoded cleanly — a CRC/layout violation is
-  // rethrown by parallel_for above and no window state advances.
-  next_chunk_ += want;
-  window_chunks_ = want;
-  window_chunk_pos_ = 0;
-  window_event_pos_ = 0;
-}
+FileTraceSource::FileTraceSource(const std::string& path, TraceDecode /*decode*/)
+    : reader_(path) {}
 
 std::size_t FileTraceSource::next_batch(std::span<WritebackEvent> out) {
   std::size_t n = 0;
-  if (index_) {  // parallel window decode with in-order reassembly
-    while (n < out.size()) {
-      if (window_chunk_pos_ >= window_chunks_) {
-        if (next_chunk_ >= index_->chunk_count()) break;
-        decode_next_window();
-      }
-      const std::vector<WritebackEvent>& chunk = window_[window_chunk_pos_];
-      const std::size_t take =
-          std::min(out.size() - n, chunk.size() - window_event_pos_);
-      std::copy_n(chunk.begin() + static_cast<std::ptrdiff_t>(window_event_pos_), take,
-                  out.begin() + static_cast<std::ptrdiff_t>(n));
-      window_event_pos_ += take;
-      n += take;
-      if (window_event_pos_ >= chunk.size()) {
-        ++window_chunk_pos_;
-        window_event_pos_ = 0;
-      }
-    }
-  } else {
-    while (n < out.size() && serial_->next(out[n])) ++n;
-  }
+  while (n < out.size() && reader_.next(out[n])) ++n;
   events_ += n;
   return n;
 }
 
 void FileTraceSource::reset() {
-  if (index_) {
-    next_chunk_ = 0;
-    window_chunks_ = 0;
-    window_chunk_pos_ = 0;
-    window_event_pos_ = 0;
-  } else {
-    serial_->reset();
-  }
+  reader_.reset();
   events_ = 0;
 }
 

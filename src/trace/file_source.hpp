@@ -5,18 +5,11 @@
 // is not v2 (wrong magic, truncated, corrupt directory) is a ContractViolation
 // at construction.
 //
-// v2 chunks are independently decodable, so the source offers two decode
-// modes:
-//   * TraceDecode::kSerial   — one TraceChunkDecoder streams chunks in order.
-//   * TraceDecode::kParallel — a window of upcoming chunks is fanned out over
-//     the deterministic parallel engine (common/parallel.hpp), one
-//     slot-pinned TraceChunkDecoder per window slot (own ifstream, varint
-//     cursor, CRC check, BestOf scratch — zero shared mutable state), then
-//     reassembled in directory order. The delivered event stream is
-//     byte-identical to serial decode at any thread count; only the wall
-//     clock changes. A corrupt chunk anywhere in the window surfaces as a
-//     ContractViolation from next_batch (rethrown by parallel_for), exactly
-//     as the serial path would.
+// Chunks decode serially, in file order, through one TraceFileReader; a
+// corrupt chunk is a ContractViolation from next_batch, and retrying throws
+// again. Decode is serial because no workload gained from a parallel one
+// (EXPERIMENTS.md, "Parallel v2 chunk decode"); wrap the source in
+// PrefetchTraceSource to overlap decode with write execution.
 //
 // LoopedFileTraceSource makes a finite capture drive an unbounded lifetime
 // run. Replaying a recorded trace verbatim a second time is degenerate under
@@ -25,23 +18,19 @@
 // per-(line, pass) mutation flips the low byte of a few nonzero data words.
 // Zero words are never touched, which preserves each block's zero structure
 // (and hence its compressibility class); all-zero blocks therefore replay
-// unchanged by design. The mutation depends only on (line, pass), so looped
-// replay over a parallel-decoding file source stays byte-identical to the
-// serial order too.
+// unchanged by design. The mutation depends only on (line, pass).
 #pragma once
 
-#include <memory>
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "trace/trace_file.hpp"
 #include "trace/trace_source.hpp"
 
 namespace pcmsim {
 
-/// How FileTraceSource turns v2 chunks back into events (see file header).
-enum class TraceDecode { kSerial, kParallel };
+/// How FileTraceSource decodes chunks. Serial is the only mode; the type and
+/// the constructor argument stay because perfbench/pcmbench.cpp passes them.
+enum class TraceDecode { kSerial };
 
 /// Finite replay of a v2 trace file. next_batch() underfills at end of
 /// trace and returns 0 thereafter; reset() rewinds to the first record.
@@ -57,21 +46,10 @@ class FileTraceSource final : public TraceSource {
   void reset() override;
 
   /// Records stored in the file (one full pass).
-  [[nodiscard]] std::uint64_t total_records() const { return total_records_; }
+  [[nodiscard]] std::uint64_t total_records() const { return reader_.total_records(); }
 
  private:
-  void decode_next_window();
-
-  std::optional<TraceFileReader> serial_;  // kSerial: streaming reader
-  // kParallel: shared index + slot-pinned decoders + in-order window.
-  std::shared_ptr<const TraceFileIndex> index_;
-  std::vector<std::unique_ptr<TraceChunkDecoder>> decoders_;
-  std::vector<std::vector<WritebackEvent>> window_;  ///< decoded chunks, in order
-  std::size_t window_chunks_ = 0;     ///< valid entries in window_
-  std::size_t window_chunk_pos_ = 0;  ///< chunk being consumed
-  std::size_t window_event_pos_ = 0;  ///< next event within that chunk
-  std::size_t next_chunk_ = 0;        ///< next chunk index to decode
-  std::uint64_t total_records_ = 0;
+  TraceFileReader reader_;
   std::uint64_t events_ = 0;
 };
 

@@ -159,26 +159,25 @@ void TraceFileWriter::close() {
   ensures(out_.good(), "trace file close failed (disk full or I/O error)");
 }
 
-TraceFileIndex::TraceFileIndex(const std::string& path) : path_(path) {
-  std::ifstream in(path, std::ios::binary);
-  expects(in.good(), "cannot open trace file for reading");
-  in.seekg(0, std::ios::end);
-  const auto file_bytes = static_cast<std::uint64_t>(in.tellg());
+TraceFileReader::TraceFileReader(const std::string& path) : in_(path, std::ios::binary) {
+  expects(in_.good(), "cannot open trace file for reading");
+  in_.seekg(0, std::ios::end);
+  const auto file_bytes = static_cast<std::uint64_t>(in_.tellg());
   expects(file_bytes >= kHeaderBytes + kFooterBytes, "trace file truncated (no v2 header/footer)");
 
-  in.seekg(0);
-  expects(get_le<std::uint64_t>(in) == kTraceV2Magic, "not a pcmsim v2 trace file");
-  expects(get_le<std::uint32_t>(in) == kTraceV2Version, "unsupported trace format version");
-  chunk_records_ = get_le<std::uint32_t>(in);
-  expects(chunk_records_ > 0, "corrupt v2 header: zero chunk size");
+  in_.seekg(0);
+  expects(get_le<std::uint64_t>(in_) == kTraceV2Magic, "not a pcmsim v2 trace file");
+  expects(get_le<std::uint32_t>(in_) == kTraceV2Version, "unsupported trace format version");
+  const auto chunk_records = get_le<std::uint32_t>(in_);
+  expects(chunk_records > 0, "corrupt v2 header: zero chunk size");
 
-  in.seekg(static_cast<std::streamoff>(file_bytes - kFooterBytes));
-  const auto dir_offset = get_le<std::uint64_t>(in);
-  const auto chunk_count = get_le<std::uint32_t>(in);
-  const auto dir_crc = get_le<std::uint32_t>(in);
-  total_records_ = get_le<std::uint64_t>(in);
-  const auto footer_magic = get_le<std::uint64_t>(in);
-  expects(in.good(), "trace file truncated (short v2 footer)");
+  in_.seekg(static_cast<std::streamoff>(file_bytes - kFooterBytes));
+  const auto dir_offset = get_le<std::uint64_t>(in_);
+  const auto chunk_count = get_le<std::uint32_t>(in_);
+  const auto dir_crc = get_le<std::uint32_t>(in_);
+  total_records_ = get_le<std::uint64_t>(in_);
+  const auto footer_magic = get_le<std::uint64_t>(in_);
+  expects(in_.good(), "trace file truncated (short v2 footer)");
   expects(footer_magic == kTraceV2FooterMagic,
           "v2 trace footer missing (file truncated or not finalized)");
   expects(dir_offset >= kHeaderBytes &&
@@ -186,10 +185,10 @@ TraceFileIndex::TraceFileIndex(const std::string& path) : path_(path) {
           "v2 trace directory does not match file length (truncated or corrupt)");
 
   std::vector<std::uint8_t> dir_bytes(chunk_count * kDirEntryBytes);
-  in.seekg(static_cast<std::streamoff>(dir_offset));
-  in.read(reinterpret_cast<char*>(dir_bytes.data()),
+  in_.seekg(static_cast<std::streamoff>(dir_offset));
+  in_.read(reinterpret_cast<char*>(dir_bytes.data()),
           static_cast<std::streamsize>(dir_bytes.size()));
-  expects(in.good(), "trace file truncated (short v2 directory)");
+  expects(in_.good(), "trace file truncated (short v2 directory)");
   expects(crc32(dir_bytes) == dir_crc, "v2 trace directory CRC mismatch (corrupt file)");
 
   directory_.resize(chunk_count);
@@ -201,7 +200,7 @@ TraceFileIndex::TraceFileIndex(const std::string& path) : path_(path) {
     std::memcpy(&c.records, dir_bytes.data() + i * kDirEntryBytes + 8, 4);
     std::memcpy(&c.payload_bytes, dir_bytes.data() + i * kDirEntryBytes + 12, 4);
     expects(c.offset == expect_offset, "v2 trace chunk offsets are inconsistent");
-    expects(c.records > 0 && c.records <= chunk_records_, "v2 trace chunk record count corrupt");
+    expects(c.records > 0 && c.records <= chunk_records, "v2 trace chunk record count corrupt");
     expect_offset += kChunkHeaderBytes + c.payload_bytes;
     dir_records += c.records;
   }
@@ -209,14 +208,9 @@ TraceFileIndex::TraceFileIndex(const std::string& path) : path_(path) {
   expects(dir_records == total_records_, "v2 trace record total does not match directory");
 }
 
-TraceChunkDecoder::TraceChunkDecoder(std::shared_ptr<const TraceFileIndex> index)
-    : index_(std::move(index)), in_(index_->path(), std::ios::binary) {
-  expects(in_.good(), "cannot open trace file for reading");
-}
-
-void TraceChunkDecoder::decode(std::size_t chunk_index, std::vector<WritebackEvent>& out) {
-  expects(chunk_index < index_->chunk_count(), "trace chunk index out of range");
-  const TraceChunkInfo& info = index_->directory()[chunk_index];
+void TraceFileReader::decode(std::size_t chunk_index, std::vector<WritebackEvent>& out) {
+  expects(chunk_index < directory_.size(), "trace chunk index out of range");
+  const TraceChunkInfo& info = directory_[chunk_index];
   in_.clear();
   in_.seekg(static_cast<std::streamoff>(info.offset));
   const auto records = get_le<std::uint32_t>(in_);
@@ -263,14 +257,15 @@ void TraceChunkDecoder::decode(std::size_t chunk_index, std::vector<WritebackEve
   expects(pos == raw_.size(), "trace chunk payload has trailing bytes (corrupt file)");
 }
 
-TraceFileReader::TraceFileReader(const std::string& path)
-    : index_(std::make_shared<const TraceFileIndex>(path)), decoder_(index_) {}
-
 bool TraceFileReader::next(WritebackEvent& ev) {
   while (buffer_pos_ >= buffer_.size()) {
-    if (next_chunk_ >= index_->chunk_count()) return false;
-    decoder_.decode(next_chunk_++, buffer_);
+    if (next_chunk_ >= directory_.size()) return false;
+    // The cursor moves only once the chunk decoded in full, so a corrupt
+    // chunk fails again on retry instead of being skipped.
+    decode(next_chunk_, decoded_);
+    buffer_.swap(decoded_);
     buffer_pos_ = 0;
+    ++next_chunk_;
   }
   ev = buffer_[buffer_pos_++];
   return true;
@@ -278,7 +273,7 @@ bool TraceFileReader::next(WritebackEvent& ev) {
 
 std::vector<WritebackEvent> TraceFileReader::read_chunk(std::size_t index) {
   std::vector<WritebackEvent> out;
-  decoder_.decode(index, out);
+  decode(index, out);
   return out;
 }
 

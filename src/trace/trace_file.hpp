@@ -23,22 +23,15 @@
 // CRC32 and record count; the trailing directory (itself CRC'd, located via
 // the fixed-size footer) makes chunks independently addressable.
 //
-// The read side is split along the parallel-decode seam:
-//   * TraceFileIndex — the validated, immutable view of the container (header
-//     fields + directory). Built once per file; safe to share across threads.
-//   * TraceChunkDecoder — the per-worker decode state (its own ifstream,
-//     varint cursor, CRC check, BestOf scratch). One decoder per worker lets
-//     a sweep fan read_chunk indices over the parallel engine with zero
-//     shared mutable state (see trace/file_source.hpp's parallel mode).
-//   * TraceFileReader — the original streaming façade over one index + one
-//     decoder; unchanged API for serial consumers.
+// TraceFileReader validates the whole container at open (header, footer,
+// directory CRC, chunk offsets and record counts), then decodes one chunk at
+// a time, either streaming in order (next) or by index (read_chunk).
 // Truncation or corruption anywhere is a hard ContractViolation at open or
 // decode time, never a silent short read.
 #pragma once
 
 #include <cstdint>
 #include <fstream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -94,71 +87,20 @@ class TraceFileWriter {
   bool closed_ = false;
 };
 
-/// Validated, immutable description of a v2 trace file: header fields plus
-/// the CRC-checked chunk directory. Construction performs every structural
-/// check the streaming reader used to do at open (magic, version, footer,
-/// directory CRC, offset/record-count consistency); after that the object is
-/// read-only and safe to share across any number of decoder threads.
-class TraceFileIndex {
- public:
-  explicit TraceFileIndex(const std::string& path);
-
-  [[nodiscard]] const std::string& path() const { return path_; }
-  [[nodiscard]] std::uint32_t chunk_records() const { return chunk_records_; }
-  [[nodiscard]] std::uint64_t total_records() const { return total_records_; }
-  [[nodiscard]] const std::vector<TraceChunkInfo>& directory() const { return directory_; }
-  [[nodiscard]] std::size_t chunk_count() const { return directory_.size(); }
-
- private:
-  std::string path_;
-  std::vector<TraceChunkInfo> directory_;
-  std::uint64_t total_records_ = 0;
-  std::uint32_t chunk_records_ = 0;
-};
-
-/// Per-worker chunk decode state: an independent file handle, payload
-/// scratch, and BestOf decompressor over a shared index. Not thread-safe
-/// itself — the parallel pattern is one TraceChunkDecoder per worker, all
-/// pointing at the same TraceFileIndex. Chunks decode independently (the
-/// line-delta base restarts per chunk), so any decoder can decode any chunk
-/// in any order.
-class TraceChunkDecoder {
- public:
-  explicit TraceChunkDecoder(std::shared_ptr<const TraceFileIndex> index);
-  TraceChunkDecoder(const TraceChunkDecoder&) = delete;
-  TraceChunkDecoder& operator=(const TraceChunkDecoder&) = delete;
-
-  [[nodiscard]] const TraceFileIndex& index() const { return *index_; }
-
-  /// Decodes chunk `chunk_index` into `out` (cleared first). CRC or layout
-  /// mismatch anywhere is a ContractViolation.
-  void decode(std::size_t chunk_index, std::vector<WritebackEvent>& out);
-
- private:
-  std::shared_ptr<const TraceFileIndex> index_;
-  std::ifstream in_;
-  BestOfCompressor best_;
-  std::vector<std::uint8_t> raw_;  ///< chunk payload scratch
-};
-
-/// Buffered v2 reader: the streaming façade over one index + one decoder.
-/// Validates the container at open (via TraceFileIndex); validates each
-/// chunk's CRC and record count as it streams. Any mismatch (truncation, bit
-/// rot) is a ContractViolation, not a silent EOF.
+/// Buffered v2 reader. Validates the container at open (magic, version,
+/// footer, directory CRC, offset/record-count consistency); validates each
+/// chunk's CRC and record count as it decodes. Any mismatch (truncation, bit
+/// rot) is a ContractViolation, not a silent EOF, and streaming stays on the
+/// failing chunk, so a retry throws again instead of skipping it.
 class TraceFileReader {
  public:
   explicit TraceFileReader(const std::string& path);
   TraceFileReader(const TraceFileReader&) = delete;
   TraceFileReader& operator=(const TraceFileReader&) = delete;
 
-  [[nodiscard]] std::uint64_t total_records() const { return index_->total_records(); }
-  [[nodiscard]] std::size_t chunk_count() const { return index_->chunk_count(); }
-  [[nodiscard]] const std::vector<TraceChunkInfo>& directory() const {
-    return index_->directory();
-  }
-  /// The shared validated index — hand this to per-worker TraceChunkDecoders
-  /// to decode chunks concurrently without re-validating the container.
-  [[nodiscard]] std::shared_ptr<const TraceFileIndex> index() const { return index_; }
+  [[nodiscard]] std::uint64_t total_records() const { return total_records_; }
+  [[nodiscard]] std::size_t chunk_count() const { return directory_.size(); }
+  [[nodiscard]] const std::vector<TraceChunkInfo>& directory() const { return directory_; }
 
   /// Streaming access: fills `ev` and returns true, or returns false at the
   /// clean end of the trace. Decodes chunk-at-a-time internally.
@@ -170,10 +112,18 @@ class TraceFileReader {
   void reset();  ///< rewinds streaming access to the first record
 
  private:
-  std::shared_ptr<const TraceFileIndex> index_;
-  TraceChunkDecoder decoder_;
-  std::vector<WritebackEvent> buffer_;  ///< decoded chunk for streaming
-  std::size_t next_chunk_ = 0;          ///< next chunk to stream-decode
+  /// Decodes chunk `chunk_index` into `out` (cleared first). CRC or layout
+  /// mismatch anywhere is a ContractViolation.
+  void decode(std::size_t chunk_index, std::vector<WritebackEvent>& out);
+
+  std::ifstream in_;
+  BestOfCompressor best_;
+  std::vector<TraceChunkInfo> directory_;
+  std::uint64_t total_records_ = 0;
+  std::vector<std::uint8_t> raw_;        ///< chunk payload scratch
+  std::vector<WritebackEvent> buffer_;   ///< decoded chunk for streaming
+  std::vector<WritebackEvent> decoded_;  ///< decode target, swapped in on success
+  std::size_t next_chunk_ = 0;           ///< next chunk to stream-decode
   std::size_t buffer_pos_ = 0;
 };
 

@@ -8,7 +8,7 @@
 //     synthetic sampler, calibrated against Table III and Fig 6. The source
 //     for every figure/table bench and lifetime run.
 //   * FileTraceSource / LoopedFileTraceSource (file_source.hpp) — replay of
-//     on-disk v2 captures (trace_file.hpp; optionally chunk-parallel).
+//     on-disk v2 captures (trace_file.hpp).
 //   * PrefetchTraceSource (prefetch_source.hpp) — decorator that fills the
 //     next batch on a background thread, overlapping generation/decode with
 //     the consumer's write execution.

@@ -1,11 +1,12 @@
 // Front-tier suite: policy-ordered victim choice, silent-store elimination
-// correctness against a filterless reference, dedup refcount safety across
-// eviction/invalidation/flush, the tier's accounting identities, thread-count
-// determinism of the tiered sharded engine, and the cache -> tier -> PCM
-// plumb through the writeback_sink adapters.
+// correctness against a filterless reference, the tier's accounting
+// identities under every policy, thread-count determinism of the tiered
+// sharded engine, and the cache -> tier -> PCM plumb through the
+// writeback_sink adapters.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -35,7 +36,6 @@ FrontTierConfig one_set(std::size_t ways, TierPolicy policy) {
   cfg.capacity_lines = ways;
   cfg.ways = ways;
   cfg.policy = policy;
-  cfg.model_latency = false;  // structure-only tests
   return cfg;
 }
 
@@ -116,7 +116,6 @@ TEST(FrontTier, SilentStoreEliminationMatchesFilterlessReference) {
   cfg.capacity_lines = 32;
   cfg.ways = 4;
   cfg.policy = TierPolicy::kSilent;
-  cfg.model_latency = false;
   FrontTier tier(cfg, [&](const FrontTier::Forward& f) { pcm[f.line] = f.data; });
 
   std::unordered_map<LineAddr, Block> reference;
@@ -155,60 +154,6 @@ TEST(FrontTier, SilentStoreEliminationMatchesFilterlessReference) {
   }
 }
 
-TEST(FrontTier, DedupSharesPayloadsAndSurvivesInvalidateAndEviction) {
-  FrontTierConfig cfg = one_set(4, TierPolicy::kDedup);
-  cfg.dedup_tag_ways = 8;
-  std::vector<FrontTier::Forward> out;
-  FrontTier tier(cfg, [&](const FrontTier::Forward& f) { out.push_back(f); });
-
-  // Six lines, one payload: the tag over-provisioning holds all six resident
-  // on a single shared payload slot.
-  const Block shared = filled(0xAB);
-  for (LineAddr line = 1; line <= 6; ++line) {
-    EXPECT_EQ(tier.put(line, shared), FrontTier::Outcome::kInserted);
-  }
-  EXPECT_EQ(tier.resident_lines(), 6u);
-  EXPECT_EQ(tier.unique_payloads(), 1u);
-  EXPECT_EQ(tier.stats().dedup_shares, 5u);
-  EXPECT_TRUE(out.empty());
-
-  // Removing one sharer must not disturb the others' payload.
-  const auto inv = tier.invalidate(3);
-  ASSERT_TRUE(inv.has_value());
-  EXPECT_EQ(inv->data, shared);
-  EXPECT_EQ(tier.resident_lines(), 5u);
-  EXPECT_EQ(tier.unique_payloads(), 1u);
-  ASSERT_NE(tier.peek(1), nullptr);
-  EXPECT_EQ(*tier.peek(1), shared);
-
-  // Rewriting a sharer with distinct content re-claims a fresh slot and
-  // releases its share; the remaining sharers keep the original bytes.
-  const Block distinct = random_block(17);
-  EXPECT_EQ(tier.put(1, distinct), FrontTier::Outcome::kHit);
-  EXPECT_EQ(tier.unique_payloads(), 2u);
-  ASSERT_NE(tier.peek(2), nullptr);
-  EXPECT_EQ(*tier.peek(2), shared);
-  ASSERT_NE(tier.peek(1), nullptr);
-  EXPECT_EQ(*tier.peek(1), distinct);
-
-  // Exhaust the payload slots with distinct content: claim_payload must evict
-  // LRU sharers to free slots rather than corrupt refcounts (the ensures
-  // guards in release_payload would fire on any miscount).
-  for (LineAddr line = 10; line < 14; ++line) {
-    (void)tier.put(line, random_block(line));
-  }
-  EXPECT_LE(tier.unique_payloads(), tier.payload_ways());
-
-  // Flush forwards everything that is left exactly once and empties the tier.
-  const std::size_t resident = tier.resident_lines();
-  const std::size_t forwarded_before = out.size();
-  tier.flush();
-  EXPECT_EQ(out.size(), forwarded_before + resident);
-  EXPECT_EQ(tier.resident_lines(), 0u);
-  EXPECT_EQ(tier.unique_payloads(), 0u);
-  EXPECT_EQ(tier.stats().flushes, resident);
-}
-
 TEST(FrontTier, SilentRewritesAreAbsorbedWithoutForwarding) {
   std::vector<FrontTier::Forward> out;
   FrontTier tier(one_set(2, TierPolicy::kSilent),
@@ -228,29 +173,36 @@ TEST(FrontTier, SilentRewritesAreAbsorbedWithoutForwarding) {
   EXPECT_EQ(tier.stats().absorbed(), tier.stats().hits + 1);
 }
 
-TEST(FrontTier, AccountingIdentitiesHold) {
+class FrontTierAccounting : public ::testing::TestWithParam<TierPolicy> {};
+
+TEST_P(FrontTierAccounting, IdentitiesHold) {
   // offered = hits + silent_drops + inserts, and every allocated entry is
-  // still resident or left through exactly one of eviction/flush/invalidate.
+  // either still resident or was evicted, which forwarded it exactly once.
   FrontTierConfig cfg;
   cfg.capacity_lines = 16;
   cfg.ways = 4;
-  cfg.policy = TierPolicy::kComp;
-  cfg.model_latency = false;
+  cfg.policy = GetParam();
   std::uint64_t forwards = 0;
   FrontTier tier(cfg, [&](const FrontTier::Forward&) { ++forwards; });
   for (std::uint64_t i = 0; i < 3000; ++i) {
     (void)tier.put(mix64(3, i) % 64, filled(static_cast<std::uint8_t>(mix64(5, i) % 5)));
-    if (i % 97 == 0) (void)tier.invalidate(mix64(3, i / 2) % 64);
   }
   const FrontTierStats& st = tier.stats();
+  EXPECT_EQ(st.offered, 3000u);
   EXPECT_EQ(st.offered, st.hits + st.silent_drops + st.inserts);
-  EXPECT_EQ(st.inserts,
-            st.evictions + st.flushes + st.invalidates + tier.resident_lines());
-  EXPECT_EQ(forwards, st.evictions + st.flushes);
+  EXPECT_EQ(st.inserts, st.evictions + tier.resident_lines());
+  EXPECT_EQ(forwards, st.evictions);
   EXPECT_LE(st.silent_hits, st.hits);
   EXPECT_LE(st.words_touched, st.words_forwarded);
   EXPECT_GT(st.words_forwarded, 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(Policies, FrontTierAccounting,
+                         ::testing::Values(TierPolicy::kLru, TierPolicy::kSilent,
+                                           TierPolicy::kComp),
+                         [](const ::testing::TestParamInfo<TierPolicy>& param) {
+                           return std::string(to_string(param.param));
+                         });
 
 TEST(FrontTier, TieredLifetimeIsDeterministicAndAmplifies) {
   // run_lifetime with a tier: offered >= serviced, the absorbed count closes
@@ -292,7 +244,7 @@ TEST(FrontTier, ShardedEngineWithTierDeterministicAcrossThreads) {
   cfg.seed = 7;
   cfg.queue_capacity = 256;  // several epochs, so dispatch/execute overlap runs
   cfg.tenant_batch = 64;
-  cfg.tier = FrontTierConfig::for_kb(8, TierPolicy::kDedup);
+  cfg.tier = FrontTierConfig::for_kb(8, TierPolicy::kSilent);
 
   std::uint64_t reference = 0;
   std::uint64_t reference_absorbed = 0;
@@ -330,7 +282,7 @@ TEST(FrontTier, HierarchyWritebacksFlowThroughTierIntoPcm) {
   const FrontTierStats& st = tier.stats();
   EXPECT_GT(st.offered, 0u);
   EXPECT_GT(st.evictions, 0u);
-  EXPECT_EQ(pcm.stats().writes, st.evictions + st.flushes);
+  EXPECT_EQ(pcm.stats().writes, st.evictions);
   EXPECT_EQ(st.offered, st.hits + st.silent_drops + st.inserts);
   EXPECT_LT(pcm.stats().writes, st.offered);
 }

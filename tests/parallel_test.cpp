@@ -1,10 +1,13 @@
 // Unit tests for the global thread pool: index coverage and result ordering,
-// exception propagation, nested-region safety, and runtime resizing.
+// exception propagation, nested-region safety, runtime resizing, and the
+// rejection of malformed thread-count inputs.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -112,6 +115,48 @@ TEST_F(ParallelTest, CliFlagSetsThreadCount) {
   const CliArgs args(3, argv, {"threads"});
   EXPECT_EQ(set_threads_from_cli(args), 5u);
   EXPECT_EQ(parallel_threads(), 5u);
+}
+
+TEST_F(ParallelTest, NegativeThreadsFlagIsRejectedAndZeroMeansAuto) {
+  set_parallel_threads(2);
+  const char* bad[] = {"prog", "--threads", "-3"};
+  const CliArgs bad_args(3, bad, {"threads"});
+  try {
+    (void)set_threads_from_cli(bad_args);
+    ADD_FAILURE() << "--threads -3 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--threads"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(parallel_threads(), 2u);  // the bad flag changed nothing
+
+  const char* zero[] = {"prog", "--threads", "0"};
+  const CliArgs zero_args(3, zero, {"threads"});
+  EXPECT_EQ(set_threads_from_cli(zero_args), 2u);  // 0 = auto: no override
+}
+
+TEST_F(ParallelTest, MalformedThreadsEnvIsRejectedByName) {
+  // Only consulted under automatic selection, so no override may be active.
+  set_parallel_threads(0);
+  const char* saved = std::getenv("PCMSIM_THREADS");
+  const std::string restore = saved ? saved : "";
+  for (const char* value : {"-3", "abc", "4x", "18446744073709551616"}) {
+    ::setenv("PCMSIM_THREADS", value, 1);
+    try {
+      (void)parallel_threads();
+      ADD_FAILURE() << "PCMSIM_THREADS=" << value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("PCMSIM_THREADS"), std::string::npos) << e.what();
+    }
+  }
+  ::setenv("PCMSIM_THREADS", "3", 1);
+  EXPECT_EQ(parallel_threads(), 3u);
+  ::setenv("PCMSIM_THREADS", "", 1);  // empty counts as unset
+  EXPECT_GE(parallel_threads(), 1u);
+  if (saved) {
+    ::setenv("PCMSIM_THREADS", restore.c_str(), 1);
+  } else {
+    ::unsetenv("PCMSIM_THREADS");
+  }
 }
 
 TEST_F(ParallelTest, CliWithoutFlagKeepsCurrentCount) {

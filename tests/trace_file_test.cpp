@@ -2,17 +2,14 @@
 // rejection, and looped-replay re-versioning.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "common/assert.hpp"
-#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "trace/file_source.hpp"
 #include "trace/trace_file.hpp"
@@ -245,8 +242,8 @@ TEST_F(TraceFileTest, FileSourceReplaysCapture) {
 
 TEST_F(TraceFileTest, FileSourceRejectsRetiredV1FormatAtOpen) {
   // The retired v1 layout: "PCMTRACE" magic, record count, then packed
-  // 72-byte records. Only v2 is readable; a v1 capture fails at open in
-  // either decode mode instead of replaying garbage.
+  // 72-byte records. Only v2 is readable; a v1 capture fails at open
+  // instead of replaying garbage.
   const auto path = temp_path("src_v1.trace");
   const auto events = make_events(4, 33);
   {
@@ -261,7 +258,6 @@ TEST_F(TraceFileTest, FileSourceRejectsRetiredV1FormatAtOpen) {
     }
   }
   EXPECT_THROW(FileTraceSource source(path), ContractViolation);
-  EXPECT_THROW(FileTraceSource source(path, TraceDecode::kParallel), ContractViolation);
   EXPECT_THROW(LoopedFileTraceSource source(path), ContractViolation);
 }
 
@@ -321,100 +317,15 @@ TEST_F(TraceFileTest, LoopedReplayRejectsEmptyTrace) {
   EXPECT_THROW(LoopedFileTraceSource source(path), ContractViolation);
 }
 
-// --- Parallel v2 chunk decode ----------------------------------------------
-
-/// Drains a source with a batch size chosen to straddle chunk boundaries.
-std::vector<WritebackEvent> drain(TraceSource& source, std::size_t batch_size) {
-  std::vector<WritebackEvent> got;
-  std::vector<WritebackEvent> batch(batch_size);
-  for (;;) {
-    const std::size_t n = source.next_batch(std::span(batch.data(), batch.size()));
-    if (n == 0) break;
-    got.insert(got.end(), batch.begin(),
-               batch.begin() + static_cast<std::ptrdiff_t>(n));
-  }
-  return got;
-}
-
-TEST_F(TraceFileTest, ParallelDecodeMatchesSerialAtManyThreadCounts) {
-  const auto path = temp_path("par_decode.trace");
-  const auto events = make_events(1000, 41);
-  write_v2(path, events, 64);  // 16 chunks: more chunks than any window
-  const std::size_t saved = parallel_threads();
-  for (const std::size_t threads : {1u, 2u, 7u}) {
-    set_parallel_threads(threads);
-    FileTraceSource source(path, TraceDecode::kParallel);
-    EXPECT_EQ(source.total_records(), events.size());
-    // 97 never divides the 64-record chunks, so every batch straddles
-    // chunk (and window) boundaries somewhere in the stream.
-    expect_same(events, drain(source, 97));
-    EXPECT_EQ(source.events(), events.size());
-    // reset() replays the identical stream, including the window state.
-    source.reset();
-    expect_same(events, drain(source, 33));
-  }
-  set_parallel_threads(saved);
-}
-
-TEST_F(TraceFileTest, LoopedParallelReplayMatchesLoopedSerial) {
-  const auto path = temp_path("par_loop.trace");
-  write_v2(path, make_events(256, 47), 32);
-  LoopedFileTraceSource serial(path, TraceDecode::kSerial);
-  const std::size_t saved = parallel_threads();
-  set_parallel_threads(7);
-  LoopedFileTraceSource parallel(path, TraceDecode::kParallel);
-  // Three full passes plus a partial one: the re-versioning depends only on
-  // (line, pass), so parallel decode must stay byte-identical across loops.
-  std::vector<WritebackEvent> a(900);
-  std::vector<WritebackEvent> b(900);
-  ASSERT_EQ(serial.next_batch(a), a.size());
-  ASSERT_EQ(parallel.next_batch(b), b.size());
-  expect_same(a, b);
-  set_parallel_threads(saved);
-}
-
-TEST_F(TraceFileTest, ConcurrentReadChunkFromManyThreads) {
-  // The documented parallel pattern: one shared immutable TraceFileIndex,
-  // one TraceChunkDecoder per thread, chunks claimed in any order.
-  const auto path = temp_path("par_chunks.trace");
-  const auto events = make_events(960, 53);
-  write_v2(path, events, 60);  // 16 chunks
-  TraceFileReader reader(path);
-  const auto index = reader.index();
-  ASSERT_EQ(index->chunk_count(), 16u);
-
-  constexpr std::size_t kThreads = 7;
-  std::vector<std::vector<WritebackEvent>> per_chunk(index->chunk_count());
-  std::atomic<std::size_t> next{0};
-  std::vector<std::thread> pool;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    pool.emplace_back([&] {
-      TraceChunkDecoder decoder(index);
-      for (;;) {
-        const std::size_t c = next.fetch_add(1);
-        if (c >= index->chunk_count()) return;
-        decoder.decode(c, per_chunk[c]);
-      }
-    });
-  }
-  for (auto& th : pool) th.join();
-
-  std::vector<WritebackEvent> got;
-  for (const auto& chunk : per_chunk) {
-    got.insert(got.end(), chunk.begin(), chunk.end());
-  }
-  expect_same(events, got);
-}
-
-TEST_F(TraceFileTest, CorruptChunkCrcFailsLoudlyUnderParallelDecode) {
-  const auto path = temp_path("par_corrupt.trace");
+TEST_F(TraceFileTest, CorruptChunkFailsAgainOnRetryInsteadOfBeingSkipped) {
+  const auto path = temp_path("corrupt_retry.trace");
   const auto events = make_events(640, 59);
   write_v2(path, events, 64);  // 10 chunks
   std::size_t corrupt_chunk = 0;
   {
     TraceFileReader clean(path);
     const auto dir = clean.directory();
-    corrupt_chunk = dir.size() / 2;  // mid-file: lands mid-window
+    corrupt_chunk = dir.size() / 2;
     std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
     const auto pos = static_cast<std::streamoff>(dir[corrupt_chunk].offset + 12 +
                                                  dir[corrupt_chunk].payload_bytes / 2);
@@ -423,35 +334,33 @@ TEST_F(TraceFileTest, CorruptChunkCrcFailsLoudlyUnderParallelDecode) {
     f.seekp(pos);
     f.put(static_cast<char>(byte ^ 0x40));
   }
-  const std::size_t saved = parallel_threads();
-  for (const std::size_t threads : {2u, 7u}) {
-    set_parallel_threads(threads);
-    FileTraceSource source(path, TraceDecode::kParallel);  // directory intact
-    std::vector<WritebackEvent> batch(64);
-    std::size_t delivered = 0;
-    bool threw = false;
-    try {
-      for (;;) {
-        const std::size_t n = source.next_batch(std::span(batch.data(), batch.size()));
-        if (n == 0) break;
-        // Everything delivered before the violation is the clean prefix.
-        for (std::size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(batch[i].line, events[delivered].line);
-          ASSERT_EQ(batch[i].data, events[delivered].data);
-          ++delivered;
-        }
+  FileTraceSource source(path);  // directory intact
+  std::vector<WritebackEvent> batch(64);
+  std::size_t delivered = 0;
+  bool threw = false;
+  try {
+    for (;;) {
+      const std::size_t n = source.next_batch(std::span(batch.data(), batch.size()));
+      if (n == 0) break;
+      // Everything delivered before the violation is the clean prefix.
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(batch[i].line, events[delivered].line);
+        ASSERT_EQ(batch[i].data, events[delivered].data);
+        ++delivered;
       }
-    } catch (const ContractViolation&) {
-      threw = true;
     }
-    EXPECT_TRUE(threw) << "corrupt CRC must throw, not end the stream";
-    EXPECT_LE(delivered, corrupt_chunk * 64);  // never events past the bad chunk
-    // The violation is sticky for the affected window: retrying throws again
-    // instead of hanging or delivering a partial batch.
+  } catch (const ContractViolation&) {
+    threw = true;
+  }
+  EXPECT_TRUE(threw) << "corrupt CRC must throw, not end the stream";
+  EXPECT_EQ(delivered, corrupt_chunk * 64);  // every clean chunk, nothing after
+  // The violation is sticky: a caller that catches it and retries gets the
+  // same error, never the chunks after the corrupt one.
+  for (int retry = 0; retry < 2; ++retry) {
     EXPECT_THROW((void)source.next_batch(std::span(batch.data(), batch.size())),
                  ContractViolation);
   }
-  set_parallel_threads(saved);
+  EXPECT_EQ(source.events(), delivered);
 }
 
 TEST_F(TraceFileTest, CompressedStorageIsSmallerThanRawRecords) {

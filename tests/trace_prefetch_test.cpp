@@ -165,38 +165,11 @@ TEST(PrefetchTraceSource, LifetimeResultUnchangedByPrefetch) {
   EXPECT_DOUBLE_EQ(plain.mean_compressed_size, prefetched.mean_compressed_size);
 }
 
-TEST(PrefetchTraceSource, ComposesOverParallelFileDecode) {
-  // Full pipeline: parallel chunk decode feeding the prefetch decorator must
-  // still deliver the serial stream byte-for-byte.
-  const auto path =
-      (std::filesystem::temp_directory_path() / "pcmsim_prefetch_par.trace").string();
-  {
-    SampledTraceSource gen(profile_by_name("gcc"), 1 << 12, 13);
-    std::vector<WritebackEvent> batch(2000);
-    (void)gen.next_batch(batch);
-    TraceFileWriter writer(path, 128);
-    for (const auto& ev : batch) writer.append(ev);
-    writer.close();
-  }
-  FileTraceSource reference(path, TraceDecode::kSerial);
-  const auto expected = drain_n(reference, 5000, 256);
-
-  const std::size_t saved = parallel_threads();
-  set_parallel_threads(7);
-  FileTraceSource inner(path, TraceDecode::kParallel);
-  PrefetchTraceSource prefetched(inner, 192);
-  expect_same(expected, drain_n(prefetched, 5000, 89));
-  set_parallel_threads(saved);
-  std::remove(path.c_str());
-}
-
 TEST(PrefetchTraceSource, ComposesInsideOuterParallelMapRegion) {
   // lifetime_study fans its four system modes out with parallel_map; each
-  // task wraps a parallel-decode file source in a prefetch decorator. The
-  // prefetch workers must not block on the pool the outer region holds (that
-  // deadlocked: the outer tasks wait on the workers, the workers on the
-  // pool); a busy pool degrades their decode to serial, which delivers the
-  // identical stream.
+  // task wraps a file source in a prefetch decorator, so the prefetch workers
+  // run while the outer region holds the pool. Every task must still drain
+  // the identical stream.
   const auto path =
       (std::filesystem::temp_directory_path() / "pcmsim_prefetch_nested.trace").string();
   {
@@ -207,7 +180,7 @@ TEST(PrefetchTraceSource, ComposesInsideOuterParallelMapRegion) {
     for (const auto& ev : batch) writer.append(ev);
     writer.close();
   }
-  FileTraceSource reference(path, TraceDecode::kSerial);
+  FileTraceSource reference(path);
   const auto expected = drain_n(reference, 5000, 256);
 
   const std::size_t saved = parallel_threads();
@@ -215,7 +188,7 @@ TEST(PrefetchTraceSource, ComposesInsideOuterParallelMapRegion) {
     set_parallel_threads(threads);
     const std::vector<std::size_t> lanes = {0, 1, 2, 3};
     const auto streams = parallel_map(lanes, [&](std::size_t lane) {
-      FileTraceSource inner(path, TraceDecode::kParallel);
+      FileTraceSource inner(path);
       PrefetchTraceSource prefetched(inner, 192);
       return drain_n(prefetched, 5000, 83 + lane);
     });
@@ -251,20 +224,18 @@ TEST(PrefetchTraceSource, InnerErrorRethrownFromNextBatch) {
     f.seekp(pos);
     f.put(static_cast<char>(byte ^ 0x40));
   }
-  for (const TraceDecode decode : {TraceDecode::kSerial, TraceDecode::kParallel}) {
-    FileTraceSource inner(path, decode);
-    PrefetchTraceSource prefetched(inner, 256);
-    std::vector<WritebackEvent> batch(128);
-    EXPECT_THROW(
-        {
-          while (prefetched.next_batch(std::span(batch.data(), batch.size())) != 0) {
-          }
-        },
-        ContractViolation);
-    // Sticky: the stream stays errored instead of hanging or ending quietly.
-    EXPECT_THROW((void)prefetched.next_batch(std::span(batch.data(), batch.size())),
-                 ContractViolation);
-  }
+  FileTraceSource inner(path);
+  PrefetchTraceSource prefetched(inner, 256);
+  std::vector<WritebackEvent> batch(128);
+  EXPECT_THROW(
+      {
+        while (prefetched.next_batch(std::span(batch.data(), batch.size())) != 0) {
+        }
+      },
+      ContractViolation);
+  // Sticky: the stream stays errored instead of hanging or ending quietly.
+  EXPECT_THROW((void)prefetched.next_batch(std::span(batch.data(), batch.size())),
+               ContractViolation);
   std::remove(path.c_str());
 }
 
