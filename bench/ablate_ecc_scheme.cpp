@@ -121,7 +121,7 @@ int main(int argc, char** argv) try {
                  "in-word instead of on a movable window.\n";
   }
   if (args.has("expect_checksum")) {
-    const std::uint64_t expect = std::stoull(args.get("expect_checksum", "0"));
+    const std::uint64_t expect = args.get_uint("expect_checksum", 0);
     if (expect != h) {
       std::cerr << "checksum mismatch: expected " << expect << ", got " << h
                 << " — a scheme's lifetime behaviour changed\n";

@@ -72,7 +72,7 @@ int main(int argc, char** argv) try {
 
   std::vector<std::size_t> kbs;
   for (const std::string& s : split_csv(args.get("tier-kbs", "8,16,32"))) {
-    kbs.push_back(static_cast<std::size_t>(std::stoull(s)));
+    kbs.push_back(static_cast<std::size_t>(parse_uint("tier-kbs", s)));
   }
   std::vector<TierPolicy> policies;
   for (const std::string& s : split_csv(args.get("policies", "lru,silent,comp"))) {
@@ -172,7 +172,7 @@ int main(int argc, char** argv) try {
     std::cout << "\n";
   }
   if (args.has("expect_checksum")) {
-    const std::uint64_t expect = std::stoull(args.get("expect_checksum", "0"));
+    const std::uint64_t expect = args.get_uint("expect_checksum", 0);
     if (expect != h) {
       std::cerr << "checksum mismatch: expected " << expect << ", got " << h
                 << " — the front-tier matrix's observable behaviour changed\n";

@@ -24,6 +24,7 @@
 #include "common/cli.hpp"
 #include "common/parallel.hpp"
 #include "common/stats.hpp"
+#include "sim/experiments.hpp"
 #include "sim/sharded_engine.hpp"
 #include "workload/app_profile.hpp"
 
@@ -75,14 +76,9 @@ int main(int argc, char** argv) try {
   cfg.tenant_batch = static_cast<std::size_t>(args.get_int("tenant_batch", 256));
   cfg.arrival_gap_cycles = static_cast<std::uint64_t>(args.get_int("gap_cycles", 16));
   cfg.prefetch = args.get_bool("prefetch");
-  // `--tier-kb N --tier-policy lru|silent|comp` fronts every shard with
-  // a content-aware DRAM tier (capacity is per shard). Off by default, which
-  // keeps the pre-tier pinned checksum byte-identical.
-  const auto tier_kb = static_cast<std::size_t>(args.get_int("tier-kb", 0));
-  if (tier_kb > 0) {
-    cfg.tier = FrontTierConfig::for_kb(
-        tier_kb, tier_policy_from_string(args.get("tier-policy", "lru")));
-  }
+  // The front tier, when enabled, sits in front of every shard (capacity is
+  // per shard).
+  cfg.tier = tier_config_from_cli(args);
 
   ShardedPcmEngine engine(cfg);
   engine.add_sampled_tenants(apps);
@@ -166,7 +162,7 @@ int main(int argc, char** argv) try {
   std::cout << "\n  ],\n  \"checksum\": " << result.checksum << "\n}\n";
 
   if (args.has("expect_checksum")) {
-    const std::uint64_t expect = std::stoull(args.get("expect_checksum", "0"));
+    const std::uint64_t expect = args.get_uint("expect_checksum", 0);
     if (expect != result.checksum) {
       std::cerr << "checksum mismatch: expected " << expect << ", got " << result.checksum
                 << " — the sharded engine's observable behaviour changed\n";

@@ -15,6 +15,7 @@
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "compression/best_of.hpp"
+#include "sim/experiments.hpp"
 #include "tier/writeback_sink.hpp"
 
 using namespace pcmsim;
@@ -24,9 +25,7 @@ int main(int argc, char** argv) try {
                                   "tier-policy"});
   const auto instructions = static_cast<std::uint64_t>(args.get_int("instructions", 400000));
   const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 3));
-  const auto tier_kb = static_cast<std::size_t>(args.get_int("tier-kb", 0));
-  const TierPolicy tier_policy =
-      tier_policy_from_string(args.get("tier-policy", "lru"));
+  const FrontTierConfig tier_cfg = tier_config_from_cli(args);
 
   BestOfCompressor best;
   TablePrinter table({"app", "WPKI_meas", "WPKI_paper", "CR_meas", "CR_paper", "bucket",
@@ -40,14 +39,13 @@ int main(int argc, char** argv) try {
     // same sink so the measured WPKI/CR columns are identical either way.
     std::optional<PcmSystem> pcm;
     std::optional<FrontTier> tier;
-    if (tier_kb > 0) {
+    if (tier_cfg.enabled()) {
       SystemConfig sys;
       sys.device.lines = static_cast<std::uint64_t>(args.get_int("lines", 4097));
       // Characterization run: default (unscaled-down) endurance, so nothing
       // dies over a bench-sized instruction budget.
       pcm.emplace(sys);
-      tier.emplace(FrontTierConfig::for_kb(tier_kb, tier_policy),
-                   pcm_forward_sink(*pcm));
+      tier.emplace(tier_cfg, pcm_forward_sink(*pcm));
     }
     CmpSimulator sim(app, HierarchyConfig{}, seed, [&](const Writeback& wb) {
       const auto c = best.probe_size(wb.data);
@@ -85,9 +83,10 @@ int main(int argc, char** argv) try {
                  "through the 16x32KB L1 + 4MB L2 hierarchy; CR on those write-backs'\n"
                  "payloads (write-back CR can differ slightly from Fig 3's access-stream "
                  "CR).\n";
-    if (tier_kb > 0) {
+    if (tier_cfg.enabled()) {
+      const std::size_t tier_kb = tier_cfg.capacity_lines * kBlockBytes / 1024;
       tier_table.print(std::cout, "Front tier (" + std::to_string(tier_kb) + " KB, " +
-                                      std::string(to_string(tier_policy)) +
+                                      std::string(to_string(tier_cfg.policy)) +
                                       ") — hierarchy write-backs absorbed before PCM");
     }
   }

@@ -19,14 +19,7 @@
 // heuristic, place, program, ECC, gap-move) as JSON, attributing the run's
 // time per stage — see common/profiler.hpp.
 //
-// Multi-tenant mode (`--tenants N`, optional `--shards S`): instead of the
-// four-mode comparison, drive the sharded multi-bank engine with N sampled
-// tenant streams (cycling --apps) over S = channels x banks shards, and
-// report per-tenant lifetime (writes until the tenant's logical slice hit
-// the capacity-death criterion) plus per-shard utilization. `--lines` is
-// then per shard. See sim/sharded_engine.hpp and EXPERIMENTS.md.
-//
-//   ./build/examples/lifetime_study --tenants 32 --shards 8 --endurance 100
+// For many tenants over the sharded engine, see bench/multi_tenant.
 #include <iostream>
 #include <mutex>
 
@@ -36,111 +29,14 @@
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "sim/experiments.hpp"
-#include "sim/sharded_engine.hpp"
 #include "trace/file_source.hpp"
 
 using namespace pcmsim;
 
-namespace {
-
-/// Shared `--tier-kb N --tier-policy lru|silent|comp` parsing; returns
-/// a disabled config when the flags are absent, so every pre-tier invocation
-/// behaves (and checksums) exactly as before.
-FrontTierConfig tier_config_from_cli(const CliArgs& args) {
-  const auto tier_kb = static_cast<std::size_t>(args.get_int("tier-kb", 0));
-  if (tier_kb == 0) return {};
-  return FrontTierConfig::for_kb(tier_kb,
-                                 tier_policy_from_string(args.get("tier-policy", "lru")));
-}
-
-int run_multi_tenant(const CliArgs& args) {
-  const auto tenants = static_cast<std::uint32_t>(args.get_int("tenants", 16));
-  const auto shards = static_cast<std::uint32_t>(args.get_int("shards", 8));
-
-  ShardedEngineConfig cfg;
-  cfg.shard_system.device.lines = static_cast<std::uint64_t>(args.get_int("lines", 257));
-  cfg.shard_system.device.endurance_mean = args.get_double("endurance", 100);
-  cfg.shard_system.device.endurance_cov = args.get_double("cov", 0.15);
-  const auto channels = static_cast<std::uint32_t>(args.get_int("channels", 2));
-  cfg.map.channels = (shards % channels == 0 && shards >= channels) ? channels : 1;
-  cfg.map.banks_per_channel = shards / cfg.map.channels;
-  cfg.tenants = tenants;
-  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-  cfg.arrival_gap_cycles = static_cast<std::uint64_t>(args.get_int("gap_cycles", 16));
-  cfg.prefetch = args.get_bool("prefetch");
-  cfg.tier = tier_config_from_cli(args);
-
-  std::vector<AppProfile> apps;
-  {
-    const std::string csv = args.get("apps", args.get("app", "gcc,milc,lbm"));
-    std::size_t pos = 0;
-    while (pos < csv.size()) {
-      const std::size_t comma = csv.find(',', pos);
-      const std::size_t end = comma == std::string::npos ? csv.size() : comma;
-      apps.push_back(profile_by_name(csv.substr(pos, end - pos)));
-      pos = end + 1;
-    }
-  }
-
-  ShardedPcmEngine engine(cfg);
-  engine.add_sampled_tenants(apps);
-  std::cout << "Multi-tenant mode: " << tenants << " tenants over " << engine.shards()
-            << " shards (" << cfg.map.channels << " channels x "
-            << cfg.map.banks_per_channel << " banks), "
-            << engine.tenant_region_lines() << " logical lines per tenant\n";
-  if (cfg.tier.enabled()) {
-    std::cout << "Front tier: " << cfg.tier.capacity_lines
-              << " lines/shard, policy " << to_string(cfg.tier.policy) << "\n";
-  }
-
-  const auto events = static_cast<std::uint64_t>(args.get_int("events", 2'000'000));
-  const ShardedRunResult result = engine.run(events);
-
-  TablePrinter shard_table({"shard", "events", "utilization", "write_lat_cycles",
-                            "lines_dead"});
-  for (std::size_t s = 0; s < result.shards.size(); ++s) {
-    const auto& row = result.shards[s];
-    shard_table.add_row({TablePrinter::fmt(s), TablePrinter::fmt(row.events),
-                         TablePrinter::fmt(row.utilization, 3),
-                         TablePrinter::fmt(row.write_latency_mean, 1),
-                         TablePrinter::fmt(row.stats.lines_dead)});
-  }
-  shard_table.print(std::cout, "Per-shard utilization");
-
-  TablePrinter tenant_table({"tenant", "app", "writes", "absorbed", "dropped",
-                             "line_deaths", "writes_to_failure"});
-  RunningStat life;
-  for (std::size_t t = 0; t < result.tenants.size(); ++t) {
-    const auto& row = result.tenants[t];
-    if (row.failed) life.add(static_cast<double>(row.writes_at_failure));
-    tenant_table.add_row({TablePrinter::fmt(t), std::string(apps[t % apps.size()].name),
-                          TablePrinter::fmt(row.writes),
-                          TablePrinter::fmt(row.absorbed_writes),
-                          TablePrinter::fmt(row.dropped_writes),
-                          TablePrinter::fmt(row.line_deaths),
-                          row.failed ? TablePrinter::fmt(row.writes_at_failure)
-                                     : std::string("alive")});
-  }
-  tenant_table.print(std::cout, "Per-tenant lifetime");
-  std::cout << "events: " << result.events << "  epochs: " << result.epochs
-            << "  tenants_failed: " << life.count();
-  if (life.count() > 0) std::cout << "  mean_writes_to_failure: " << life.mean();
-  if (cfg.tier.enabled()) {
-    std::cout << "  tier_absorbed: " << result.tier.absorbed() << "/"
-              << result.tier.offered;
-  }
-  std::cout << "  checksum: " << result.checksum << "\n";
-  return 0;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) try {
-  const CliArgs args(argc, argv, {"app", "apps", "channels", "cov", "ecc", "endurance", "events",
-                                  "gap_cycles", "lines", "prefetch", "profile", "seed", "shards",
-                                  "tenants", "threads", "tier-kb", "tier-policy", "trace"});
+  const CliArgs args(argc, argv, {"app", "cov", "ecc", "endurance", "lines", "prefetch", "profile",
+                                  "threads", "tier-kb", "tier-policy", "trace"});
   set_threads_from_cli(args);
-  if (args.has("tenants") || args.has("shards")) return run_multi_tenant(args);
   if (args.get_bool("profile")) prof::set_enabled(true);
   const ScopedTimer timer("lifetime_study");
   const std::string app_name = args.get("app", "milc");

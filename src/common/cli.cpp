@@ -74,6 +74,11 @@ std::int64_t CliArgs::get_int(const std::string& key, std::int64_t dflt) const {
   return v ? parse_number<std::int64_t>(key, *v, "an integer") : dflt;
 }
 
+std::uint64_t CliArgs::get_uint(const std::string& key, std::uint64_t dflt) const {
+  const std::string* v = find(key);
+  return v ? parse_uint(key, *v) : dflt;
+}
+
 double CliArgs::get_double(const std::string& key, double dflt) const {
   const std::string* v = find(key);
   return v ? parse_number<double>(key, *v, "a number") : dflt;
@@ -85,6 +90,10 @@ bool CliArgs::get_bool(const std::string& key, bool dflt) const {
   if (v->empty() || *v == "1" || *v == "true") return true;
   if (*v == "0" || *v == "false") return false;
   bad_value(key, *v, "true/false");
+}
+
+std::uint64_t parse_uint(const std::string& key, const std::string& text) {
+  return parse_number<std::uint64_t>(key, text, "a non-negative integer");
 }
 
 int cli_error(const std::exception& e) {

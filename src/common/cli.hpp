@@ -30,6 +30,9 @@ class CliArgs {
   [[nodiscard]] bool has(const std::string& key) const;
   [[nodiscard]] std::string get(const std::string& key, const std::string& dflt) const;
   [[nodiscard]] std::int64_t get_int(const std::string& key, std::int64_t dflt) const;
+  /// Digits only: a sign ("-3", "+3") is rejected rather than wrapped, and
+  /// the whole uint64 range parses (checksums, sizes).
+  [[nodiscard]] std::uint64_t get_uint(const std::string& key, std::uint64_t dflt) const;
   [[nodiscard]] double get_double(const std::string& key, double dflt) const;
   /// A bare `--flag`, "1" or "true" is true; "0" or "false" is false.
   [[nodiscard]] bool get_bool(const std::string& key, bool dflt = false) const;
@@ -40,6 +43,10 @@ class CliArgs {
   std::set<std::string> declared_;
   std::map<std::string, std::string> kv_;
 };
+
+/// get_uint's parse for one item of a list-valued flag: all of `text` as an
+/// unsigned integer, or std::invalid_argument naming `--key`.
+[[nodiscard]] std::uint64_t parse_uint(const std::string& key, const std::string& text);
 
 /// Reports `e` on stderr and returns the exit status of a failed run, so a
 /// binary's `main` can end in `catch (const std::exception& e) { return

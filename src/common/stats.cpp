@@ -58,58 +58,6 @@ ScopedTimer::~ScopedTimer() {
   }
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)), counts_(buckets, 0) {
-  expects(hi > lo, "histogram range must be non-empty");
-  expects(buckets > 0, "histogram needs at least one bucket");
-}
-
-void Histogram::add(double x, std::uint64_t weight) {
-  std::size_t idx;
-  if (x < lo_) {
-    idx = 0;
-  } else if (x >= hi_) {
-    idx = counts_.size() - 1;
-  } else {
-    idx = static_cast<std::size_t>((x - lo_) / width_);
-    if (idx >= counts_.size()) idx = counts_.size() - 1;
-  }
-  counts_[idx] += weight;
-  total_ += weight;
-}
-
-double Histogram::bucket_lo(std::size_t i) const { return lo_ + width_ * static_cast<double>(i); }
-double Histogram::bucket_hi(std::size_t i) const { return lo_ + width_ * static_cast<double>(i + 1); }
-
-double Histogram::quantile(double q) const {
-  expects(q >= 0.0 && q <= 1.0, "quantile q must be in [0,1]");
-  if (total_ == 0) return lo_;
-  const double target = q * static_cast<double>(total_);
-  double acc = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = acc + static_cast<double>(counts_[i]);
-    if (next >= target) {
-      const double frac = counts_[i] ? (target - acc) / static_cast<double>(counts_[i]) : 0.0;
-      return bucket_lo(i) + frac * width_;
-    }
-    acc = next;
-  }
-  return hi_;
-}
-
-double Histogram::cdf(double x) const {
-  if (total_ == 0) return 0.0;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (bucket_hi(i) <= x) {
-      acc += static_cast<double>(counts_[i]);
-    } else if (bucket_lo(i) < x) {
-      acc += static_cast<double>(counts_[i]) * (x - bucket_lo(i)) / width_;
-    }
-  }
-  return acc / static_cast<double>(total_);
-}
-
 void EmpiricalCdf::ensure_sorted() const {
   if (!sorted_) {
     std::sort(xs_.begin(), xs_.end());

@@ -1,4 +1,4 @@
-// Streaming statistics accumulators and histograms for simulator metrics.
+// Streaming statistics accumulators for simulator metrics.
 #pragma once
 
 #include <chrono>
@@ -33,34 +33,6 @@ class RunningStat {
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Fixed-width bucket histogram over [lo, hi); out-of-range samples clamp to
-/// the edge buckets so mass is never silently dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x, std::uint64_t weight = 1);
-
-  [[nodiscard]] std::size_t buckets() const { return counts_.size(); }
-  [[nodiscard]] std::uint64_t bucket_count(std::size_t i) const { return counts_.at(i); }
-  [[nodiscard]] double bucket_lo(std::size_t i) const;
-  [[nodiscard]] double bucket_hi(std::size_t i) const;
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-
-  /// Value below which `q` (in [0,1]) of the mass lies (linear within bucket).
-  [[nodiscard]] double quantile(double q) const;
-
-  /// Cumulative fraction of samples with value <= x.
-  [[nodiscard]] double cdf(double x) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 /// Monotonic wall-clock timer for bench runs. On destruction the elapsed

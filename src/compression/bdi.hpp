@@ -30,13 +30,11 @@ enum class BdiLayout : std::uint8_t {
 /// Compressed image size in bytes for a given layout (fixed per layout).
 [[nodiscard]] std::size_t bdi_layout_size(BdiLayout layout);
 
-class BdiCompressor final : public Compressor {
+class BdiCompressor {
  public:
-  [[nodiscard]] std::optional<CompressedBlock> compress(const Block& block) const override;
-  [[nodiscard]] std::optional<std::size_t> probe_size(const Block& block) const override;
-  [[nodiscard]] Block decompress(const CompressedBlock& cb) const override;
-  [[nodiscard]] std::string_view name() const override { return "BDI"; }
-  [[nodiscard]] std::uint32_t decompression_latency_cycles() const override { return 1; }
+  [[nodiscard]] std::optional<CompressedBlock> compress(const Block& block) const;
+  [[nodiscard]] std::optional<std::size_t> probe_size(const Block& block) const;
+  [[nodiscard]] Block decompress(const CompressedBlock& cb) const;
 
   /// Attempts exactly one layout; exposed for tests and ablation studies.
   [[nodiscard]] std::optional<CompressedBlock> compress_with_layout(const Block& block,

@@ -82,9 +82,10 @@ Block BestOfCompressor::decompress(const CompressedBlock& cb) const {
 }
 
 std::uint32_t BestOfCompressor::latency_for(const CompressedBlock& cb) const {
+  // Table I: BDI decompresses in 1 CPU cycle, FPC in 5.
   switch (cb.scheme) {
-    case CompressionScheme::kBdi: return bdi_.decompression_latency_cycles();
-    case CompressionScheme::kFpc: return fpc_.decompression_latency_cycles();
+    case CompressionScheme::kBdi: return 1;
+    case CompressionScheme::kFpc: return 5;
     case CompressionScheme::kNone: return 0;
   }
   return 0;

@@ -48,10 +48,10 @@ struct ProbePair {
   std::optional<std::size_t> fpc;
 };
 
-class BestOfCompressor final : public Compressor {
+class BestOfCompressor {
  public:
-  [[nodiscard]] std::optional<CompressedBlock> compress(const Block& block) const override;
-  [[nodiscard]] std::optional<std::size_t> probe_size(const Block& block) const override;
+  [[nodiscard]] std::optional<CompressedBlock> compress(const Block& block) const;
+  [[nodiscard]] std::optional<std::size_t> probe_size(const Block& block) const;
 
   /// Phase 1: one fused pass answering scheme, layout, and size; no bits are
   /// packed. nullopt exactly when compress() declines.
@@ -68,11 +68,7 @@ class BestOfCompressor final : public Compressor {
   /// winner/tie rules match compress() exactly (ties go to BDI).
   [[nodiscard]] std::optional<SizeProbe> probe(const Block& block) const;
 
-  [[nodiscard]] Block decompress(const CompressedBlock& cb) const override;
-  [[nodiscard]] std::string_view name() const override { return "BEST(BDI,FPC)"; }
-
-  /// Worst-case read-path latency; per-block latency depends on the winner.
-  [[nodiscard]] std::uint32_t decompression_latency_cycles() const override { return 5; }
+  [[nodiscard]] Block decompress(const CompressedBlock& cb) const;
 
   /// Latency for a specific image (1 cycle for BDI, 5 for FPC, 0 for raw).
   [[nodiscard]] std::uint32_t latency_for(const CompressedBlock& cb) const;

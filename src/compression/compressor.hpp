@@ -1,17 +1,23 @@
-// Block-compression interface used by the memory controller.
+// Compressed-image types shared by the block compressors.
 //
 // The paper (Table I) evaluates two hardware cache/memory compressors, BDI
 // (Pekhimenko et al., PACT'12) and FPC (Alameldeen & Wood, ISCA'04), and always
 // stores the smaller of the two outputs ("BEST"). Both are implemented here
 // bit-accurately with full round-trip decompression.
 //
-// The interface is split into two phases:
+// Each compressor (BdiCompressor, FpcCompressor, BestOfCompressor) offers
+// compress(), which declines (nullopt) when the block matches none of its
+// patterns or would not shrink, and otherwise returns an image strictly
+// smaller than kBlockBytes that round-trips exactly through decompress();
+// probe_size() answers the same size without materializing the image.
+//
+// The work is split into two phases:
 //  * probe (phase 1): size/scheme questions answered from a single fused
 //    WordClassScan pass over the block (word_scan.hpp) — no bit-packing. The
 //    write path's Figure-8 heuristic and window placement consume only this.
 //  * materialize (phase 2): producing the actual CompressedBlock image, paid
 //    only when a compressed store is accepted (BestOfCompressor::plan() /
-//    materialize()). compress() below remains the one-shot combination and
+//    materialize()). compress() remains the one-shot combination and
 //    the bit-identity reference for both phases.
 #pragma once
 
@@ -50,35 +56,6 @@ struct CompressedBlock {
   std::uint8_t encoding = 0;  ///< scheme-specific layout id (< 32)
 
   [[nodiscard]] std::size_t size_bytes() const { return bytes.size(); }
-};
-
-/// Abstract compressor: compress may decline (returns nullopt) when the block
-/// does not match any of the scheme's patterns or would not shrink.
-class Compressor {
- public:
-  virtual ~Compressor() = default;
-
-  /// Attempts to compress; a returned image is always strictly smaller than
-  /// kBlockBytes and round-trips exactly through decompress().
-  [[nodiscard]] virtual std::optional<CompressedBlock> compress(const Block& block) const = 0;
-
-  /// Compressed size in bytes without materializing the image, for callers
-  /// that only study sizes (fig03/fig11 CDFs, Table III). Agrees exactly with
-  /// compress(): same nullopt cases, same winning size.
-  [[nodiscard]] virtual std::optional<std::size_t> probe_size(const Block& block) const {
-    const auto c = compress(block);
-    if (!c) return std::nullopt;
-    return c->size_bytes();
-  }
-
-  /// Reconstructs the original 64-byte block.
-  /// Precondition: `cb` was produced by this compressor's compress().
-  [[nodiscard]] virtual Block decompress(const CompressedBlock& cb) const = 0;
-
-  [[nodiscard]] virtual std::string_view name() const = 0;
-
-  /// Decompression latency in CPU cycles (Table I: BDI 1, FPC 5).
-  [[nodiscard]] virtual std::uint32_t decompression_latency_cycles() const = 0;
 };
 
 }  // namespace pcmsim

@@ -22,13 +22,11 @@ enum class FpcPattern : std::uint8_t {
   kUncompressed = 7,   ///< raw 32-bit word
 };
 
-class FpcCompressor final : public Compressor {
+class FpcCompressor {
  public:
-  [[nodiscard]] std::optional<CompressedBlock> compress(const Block& block) const override;
-  [[nodiscard]] std::optional<std::size_t> probe_size(const Block& block) const override;
-  [[nodiscard]] Block decompress(const CompressedBlock& cb) const override;
-  [[nodiscard]] std::string_view name() const override { return "FPC"; }
-  [[nodiscard]] std::uint32_t decompression_latency_cycles() const override { return 5; }
+  [[nodiscard]] std::optional<CompressedBlock> compress(const Block& block) const;
+  [[nodiscard]] std::optional<std::size_t> probe_size(const Block& block) const;
+  [[nodiscard]] Block decompress(const CompressedBlock& cb) const;
 
   /// Classifies one 4-byte word (ignoring zero-run folding); exposed for tests.
   [[nodiscard]] static FpcPattern classify(std::uint32_t word);

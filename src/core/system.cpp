@@ -54,9 +54,8 @@ std::uint64_t auto_rotation_threshold(const SystemConfig& cfg) {
 PcmSystem::PcmSystem(const SystemConfig& config)
     : config_(config),
       array_(config.device),
-      startgap_(config.device.lines - 1, config.gap_interval, config.startgap_randomize,
-                config.seed),
-      rotator_(config.banks, auto_rotation_threshold(config), config.rotation_step_bytes),
+      startgap_(config.device.lines - 1, config.gap_interval, /*randomize=*/true, config.seed),
+      rotator_(config.banks, auto_rotation_threshold(config)),
       scheme_(make_scheme(config.ecc_spec)),
       placer_(*scheme_),
       lines_(config.device.lines) {
@@ -112,23 +111,32 @@ PcmSystem::SegmentWrite PcmSystem::write_window_segments(std::uint64_t physical,
 std::optional<std::size_t> PcmSystem::write_window(std::uint64_t physical, std::uint8_t start,
                                                    std::span<const std::uint8_t> image,
                                                    std::uint8_t size_bytes) {
-  if (!config_.functional_verify) {
-    const auto res = write_window_segments(physical, start, image, size_bytes);
-    // A fault born during this write may push the window past the scheme's
-    // strength; the verify read detects it and the caller re-places.
-    if (res.new_faults) {
-      const prof::ScopedStage stage(prof::Stage::kPlace);
-      if (!placer_.fits(array_, physical, start, size_bytes)) return std::nullopt;
-    }
-    return res.flips;
+  if (config_.functional_verify) return write_encoded(physical, start, image, size_bytes, {});
+  const auto res = write_window_segments(physical, start, image, size_bytes);
+  // A fault born during this write may push the window past the scheme's
+  // strength; the verify read detects it and the caller re-places.
+  if (res.new_faults) {
+    const prof::ScopedStage stage(prof::Stage::kPlace);
+    if (!placer_.fits(array_, physical, start, size_bytes)) return std::nullopt;
   }
+  return res.flips;
+}
 
-  // Functional mode: store through the scheme's real encoder, re-encoding if
-  // the write itself wears out further cells (write-verify-rewrite loop).
+std::optional<std::size_t> PcmSystem::write_encoded(std::uint64_t physical, std::uint8_t start,
+                                                    std::span<const std::uint8_t> image,
+                                                    std::uint8_t size_bytes,
+                                                    std::span<const std::uint8_t> word_content) {
+  // Write-verify-rewrite: a cell that dies while programming forces a fresh
+  // encode around it (the coset/flip choice may change for the newborn
+  // fault), and with word content the slack fit is re-checked first.
   const std::size_t window_bits = static_cast<std::size_t>(size_bytes) * 8;
   std::size_t flips = 0;
   WindowFaultBuffer fault_buf;
   for (int attempt = 0; attempt < 8; ++attempt) {
+    if (!word_content.empty()) {
+      const prof::ScopedStage stage(prof::Stage::kPlace);
+      if (!placer_.fits(array_, physical, start, size_bytes, word_content)) return std::nullopt;
+    }
     const auto faults = window_faults_into(array_, physical, start, size_bytes, fault_buf);
     std::optional<HardErrorScheme::EncodeResult> enc;
     {
@@ -140,7 +148,7 @@ std::optional<std::size_t> PcmSystem::write_window(std::uint64_t physical, std::
         physical, start, std::span<const std::uint8_t>(enc->image), size_bytes);
     flips += res.flips;
     if (!res.new_faults) {
-      ecc_meta_[physical] = enc->meta;
+      if (config_.functional_verify) ecc_meta_[physical] = enc->meta;
       return flips;
     }
   }
@@ -152,38 +160,6 @@ std::optional<PcmSystem::PlacedWrite> PcmSystem::try_store(std::uint64_t physica
                                                            std::span<const std::uint8_t> image,
                                                            std::uint8_t size_bytes) {
   return try_store_with(physical, bank, [&image] { return image; }, size_bytes);
-}
-
-std::optional<PcmSystem::PlacedWrite> PcmSystem::try_store_words(
-    std::uint64_t physical, const Block& data, std::span<const std::uint8_t> word_content) {
-  // The whole line is the (non-sliding) protected unit; the scheme's encode
-  // runs in both modes because the programmed image *is* the in-place encoded
-  // one — flip and energy accounting must see it, not the raw data.
-  std::size_t flips = 0;
-  WindowFaultBuffer fault_buf;
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    {
-      const prof::ScopedStage stage(prof::Stage::kPlace);
-      if (!placer_.fits(array_, physical, 0, kBlockBytes, word_content)) return std::nullopt;
-    }
-    const auto faults = window_faults_into(array_, physical, 0, kBlockBytes, fault_buf);
-    std::optional<HardErrorScheme::EncodeResult> enc;
-    {
-      const prof::ScopedStage stage(prof::Stage::kEcc);
-      enc = scheme_->encode(data, kBlockBits, faults);
-    }
-    if (!enc) return std::nullopt;
-    const auto res = write_window_segments(
-        physical, 0, std::span<const std::uint8_t>(enc->image), kBlockBytes);
-    flips += res.flips;
-    if (!res.new_faults) {
-      if (config_.functional_verify) ecc_meta_[physical] = enc->meta;
-      return PlacedWrite{0, flips};
-    }
-    // A cell died while programming: re-check the slack fit and re-encode
-    // (the coset/flip choice may have to change for the newborn fault).
-  }
-  return std::nullopt;
 }
 
 void PcmSystem::mark_dead(std::uint64_t physical) {
@@ -206,6 +182,16 @@ void PcmSystem::mark_dead(std::uint64_t physical) {
   stats_.faults_at_death.add(static_cast<double>(array_.count_stuck(physical, 0, kBlockBits)));
 }
 
+void PcmSystem::revive(LineMeta& info) {
+  if (!info.dead) return;
+  info.dead = false;
+  if (info.counted_dead) {
+    info.counted_dead = false;
+    --stats_.lines_dead;
+  }
+  ++stats_.recycled_lines;
+}
+
 PcmSystem::WriteOutcome PcmSystem::write(LineAddr logical, const Block& data) {
   ++stats_.writes;
   const std::uint64_t physical = startgap_.map(logical);
@@ -225,61 +211,73 @@ PcmSystem::WriteOutcome PcmSystem::write(LineAddr logical, const Block& data) {
     info.recycle_epoch = epoch;
   }
 
-  // --- Word-granularity schemes: in-place encoded store --------------------
-  // The compression scan contributes per-word slack (don't-care bits) rather
-  // than a packed window; the line never slides and is stored full-size.
-  if (word_mode_) {
-    std::array<std::uint8_t, kBlockBits / 32> content;
-    {
-      const prof::ScopedStage stage(prof::Stage::kCompress);
-      const WordClassScan scan = scan_block(data);
-      scheme_->word_content_bits(scan, content);
-    }
-    const auto placed = try_store_words(physical, data, content);
-    if (!placed) {
-      const bool was_dead = info.dead;
-      mark_dead(physical);
-      out.line_died = !was_dead;
-      return out;
-    }
-    if (info.dead) {
-      info.dead = false;
-      if (info.counted_dead) {
-        info.counted_dead = false;
-        --stats_.lines_dead;
-      }
-      ++stats_.recycled_lines;
-    }
-    info.ever_written = true;
-    info.start_byte = 0;
-    // Not `compressed` in the packed-window sense: the scheme's decode alone
-    // reconstructs the data, no separate decompressor pass.
-    info.compressed = false;
-    info.size_bytes = kBlockBytes;
-    info.encoding = pack_encoding(CompressionScheme::kNone, 0);
-
-    out.stored = true;
-    out.start_byte = 0;
-    out.size_bytes = kBlockBytes;
-    out.flips = placed->flips;
-
-    // Stats: report the encoded content footprint as the compressed size so
-    // the scheme-by-workload matrix shows the slack the coding extracted.
-    std::size_t content_bits = 0;
-    for (const auto c : content) content_bits += c;
-    if (content_bits < kBlockBits) {
-      ++stats_.compressed_writes;
-      stats_.compressed_size.add(static_cast<double>((content_bits + 7) / 8));
-    } else {
-      ++stats_.uncompressed_writes;
-    }
-    stats_.flips_per_write.add(static_cast<double>(placed->flips));
-
-    if (const auto move = startgap_.on_write()) handle_gap_move(*move);
-    if (config_.rotation_enabled()) rotator_.on_write(bank);
+  const auto stored = word_mode_ ? store_words(physical, data)
+                                 : store_window(physical, bank, info, data);
+  if (!stored) {
+    const bool was_dead = info.dead;
+    mark_dead(physical);
+    out.line_died = !was_dead;
     return out;
   }
 
+  // --- Success: update metadata and stats ---------------------------------
+  revive(info);
+  info.ever_written = true;
+  info.start_byte = stored->placed.start;
+  info.compressed = stored->compressed;
+  info.size_bytes = stored->size_bytes;
+  info.encoding = stored->encoding;
+
+  out.stored = true;
+  out.compressed = stored->compressed;
+  out.start_byte = stored->placed.start;
+  out.size_bytes = stored->size_bytes;
+  out.flips = stored->placed.flips;
+
+  if (stored->footprint) {
+    ++stats_.compressed_writes;
+    stats_.compressed_size.add(static_cast<double>(*stored->footprint));
+  } else {
+    ++stats_.uncompressed_writes;
+  }
+  stats_.flips_per_write.add(static_cast<double>(stored->placed.flips));
+
+  // --- Wear-leveling bookkeeping ------------------------------------------
+  if (const auto move = startgap_.on_write()) handle_gap_move(*move);
+  if (config_.rotation_enabled()) rotator_.on_write(bank);
+  return out;
+}
+
+std::optional<PcmSystem::StoredImage> PcmSystem::store_words(std::uint64_t physical,
+                                                             const Block& data) {
+  // The compression scan contributes per-word slack (don't-care bits) rather
+  // than a packed window; the line never slides and is stored full-size. The
+  // scheme's encode runs in both modes because the programmed image *is* the
+  // in-place encoded one: flip and energy accounting must see it, not the
+  // raw data.
+  std::array<std::uint8_t, kBlockBits / 32> content;
+  {
+    const prof::ScopedStage stage(prof::Stage::kCompress);
+    const WordClassScan scan = scan_block(data);
+    scheme_->word_content_bits(scan, content);
+  }
+  const auto flips = write_encoded(physical, 0, data, kBlockBytes, content);
+  if (!flips) return std::nullopt;
+
+  // Not `compressed` in the packed-window sense: the scheme's decode alone
+  // reconstructs the data, no separate decompressor pass. The stats report
+  // the encoded content footprint as the compressed size so the
+  // scheme-by-workload matrix shows the slack the coding extracted.
+  std::size_t content_bits = 0;
+  for (const auto c : content) content_bits += c;
+  std::optional<std::uint8_t> footprint;
+  if (content_bits < kBlockBits) footprint = static_cast<std::uint8_t>((content_bits + 7) / 8);
+  return StoredImage{{0, *flips}, kBlockBytes, false, 0, footprint};
+}
+
+std::optional<PcmSystem::StoredImage> PcmSystem::store_window(std::uint64_t physical,
+                                                              std::uint32_t bank, LineMeta& info,
+                                                              const Block& data) {
   // --- Compression decision (Fig 8), phase 1 only -------------------------
   // plan() answers the winning scheme and size from one fused scan; the
   // heuristic and placement below run on that size alone. The image bytes are
@@ -309,8 +307,6 @@ PcmSystem::WriteOutcome PcmSystem::write(LineAddr logical, const Block& data) {
   }
 
   // --- Store, falling back to the other representation if needed ----------
-  std::optional<PlacedWrite> placed;
-  bool stored_compressed = false;
   const auto compressed_image = [&]() -> std::span<const std::uint8_t> {
     if (!comp) {
       const prof::ScopedStage stage(prof::Stage::kCompress);
@@ -318,59 +314,20 @@ PcmSystem::WriteOutcome PcmSystem::write(LineAddr logical, const Block& data) {
     }
     return comp->bytes;
   };
-  for (int pass = 0; pass < 2 && !placed; ++pass) {
+  for (int pass = 0; pass < 2; ++pass) {
     const bool use_comp = pass == 0 ? want_compressed : !want_compressed;
     if (use_comp) {
       if (!plan) continue;
-      placed = try_store_with(physical, bank, compressed_image, comp_size);
-      if (placed) stored_compressed = true;
-    } else {
-      placed = try_store(physical, bank, data, kBlockBytes);
+      if (const auto placed = try_store_with(physical, bank, compressed_image, comp_size)) {
+        return StoredImage{*placed, comp_size, true, pack_encoding(plan->scheme, plan->encoding),
+                           comp_size};
+      }
+    } else if (const auto placed = try_store(physical, bank, data, kBlockBytes)) {
+      return StoredImage{*placed, kBlockBytes, false, 0, std::nullopt};
     }
-    if (pass == 0 && !placed && !config_.compression_enabled()) break;
+    if (!config_.compression_enabled()) break;
   }
-
-  if (!placed) {
-    const bool was_dead = info.dead;
-    mark_dead(physical);
-    out.line_died = !was_dead;
-    return out;
-  }
-
-  // --- Success: update metadata and stats ---------------------------------
-  if (info.dead) {
-    info.dead = false;
-    if (info.counted_dead) {
-      info.counted_dead = false;
-      --stats_.lines_dead;
-    }
-    ++stats_.recycled_lines;
-  }
-  info.ever_written = true;
-  info.start_byte = placed->start;
-  info.compressed = stored_compressed;
-  info.size_bytes = stored_compressed ? comp_size : static_cast<std::uint8_t>(kBlockBytes);
-  info.encoding = stored_compressed ? pack_encoding(plan->scheme, plan->encoding)
-                                    : pack_encoding(CompressionScheme::kNone, 0);
-
-  out.stored = true;
-  out.compressed = stored_compressed;
-  out.start_byte = placed->start;
-  out.size_bytes = info.size_bytes;
-  out.flips = placed->flips;
-
-  if (stored_compressed) {
-    ++stats_.compressed_writes;
-    stats_.compressed_size.add(static_cast<double>(comp_size));
-  } else {
-    ++stats_.uncompressed_writes;
-  }
-  stats_.flips_per_write.add(static_cast<double>(placed->flips));
-
-  // --- Wear-leveling bookkeeping ------------------------------------------
-  if (const auto move = startgap_.on_write()) handle_gap_move(*move);
-  if (config_.rotation_enabled()) rotator_.on_write(bank);
-  return out;
+  return std::nullopt;
 }
 
 void PcmSystem::handle_gap_move(const StartGap::GapMove& move) {
@@ -411,8 +368,7 @@ void PcmSystem::handle_gap_move(const StartGap::GapMove& move) {
 
   const std::uint32_t bank = bank_of(move.to, config_.banks);
   auto& t = lines_[move.to];
-  const bool was_dead = t.dead;
-  if (was_dead && !config_.recycling_enabled()) {
+  if (t.dead && !config_.recycling_enabled()) {
     // Comp / Comp+W mark blocks permanently dead (Section V-A.3): migrating
     // data cannot revive the slot, so this logical line's content is lost.
     t.ever_written = false;
@@ -425,14 +381,7 @@ void PcmSystem::handle_gap_move(const StartGap::GapMove& move) {
     t.ever_written = false;
     return;
   }
-  if (was_dead) {
-    t.dead = false;
-    if (t.counted_dead) {
-      t.counted_dead = false;
-      --stats_.lines_dead;
-    }
-    ++stats_.recycled_lines;
-  }
+  revive(t);
   t.ever_written = true;
   t.start_byte = placed->start;
   t.size_bytes = content.size_bytes;

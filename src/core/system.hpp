@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,11 +51,9 @@ struct SystemConfig {
   PcmDeviceConfig device;         ///< device.lines = physical lines (incl. gap)
   std::uint32_t banks = 8;        ///< Table II: 2 channels x 1 rank x 4 banks
   std::uint64_t gap_interval = 100;
-  bool startgap_randomize = true;
   /// Bank-counter saturation for intra-line rotation. 0 = auto-scale the
   /// paper's 2^16 with endurance (2^16 * endurance_mean / 1e7, min 1).
   std::uint64_t rotation_threshold = 0;
-  std::uint32_t rotation_step_bytes = 1;
   HeuristicConfig heuristic;      ///< active in kCompWF (and ablations)
   double dead_capacity_fraction = 0.5;  ///< system fails at 50% worn capacity
   bool functional_verify = false;
@@ -136,18 +135,34 @@ class PcmSystem {
     std::size_t flips = 0;
   };
 
-  /// Core write path for one physical line. Returns nullopt when the line
-  /// cannot hold the data (caller marks it dead).
+  /// What a store path put into the line; write() applies it to the line's
+  /// metadata and the stats in one place.
+  struct StoredImage {
+    PlacedWrite placed;
+    std::uint8_t size_bytes = kBlockBytes;
+    bool compressed = false;    ///< packed window image (reads need the decompressor)
+    std::uint8_t encoding = 0;  ///< pack_encoding() of the image; 0 = uncompressed
+    /// Content bytes the stats count as a compressed write; nullopt counts
+    /// the write as uncompressed.
+    std::optional<std::uint8_t> footprint;
+  };
+
+  /// Window store (line-granularity schemes): the Fig-8 decision, then the
+  /// chosen representation, falling back to the other. nullopt when neither
+  /// fits (the caller marks the line dead).
+  std::optional<StoredImage> store_window(std::uint64_t physical, std::uint32_t bank,
+                                          LineMeta& info, const Block& data);
+
+  /// Word-granularity store (SchemeGranularity::kWord schemes): the whole
+  /// line is encoded in place, with the compression scan's per-word content
+  /// bits telling the placement check which stuck cells fall into slack.
+  std::optional<StoredImage> store_words(std::uint64_t physical, const Block& data);
+
+  /// Places and programs a plain image of `size_bytes`. Returns nullopt when
+  /// the line cannot hold it.
   std::optional<PlacedWrite> try_store(std::uint64_t physical, std::uint32_t bank,
                                        std::span<const std::uint8_t> image,
                                        std::uint8_t size_bytes);
-
-  /// Word-granularity store path (SchemeGranularity::kWord schemes): the
-  /// whole line is encoded in place through the scheme, with `word_content`
-  /// (per-u32 content bits from the compression scan) telling the placement
-  /// check which stuck cells fall into compression slack.
-  std::optional<PlacedWrite> try_store_words(std::uint64_t physical, const Block& data,
-                                             std::span<const std::uint8_t> word_content);
 
   /// try_store generalized over a deferred image: placement runs on
   /// `size_bytes` alone and `image_of()` is first invoked only when a window
@@ -181,6 +196,16 @@ class PcmSystem {
                                           std::span<const std::uint8_t> image,
                                           std::uint8_t size_bytes);
 
+  /// Stores `image` through the scheme's encode() into the window at
+  /// `start`, re-encoding while the write itself wears out cells. With
+  /// `word_content` (per-u32 content bits), the slack-aware fit is checked
+  /// before every attempt. Returns programming pulses, or nullopt when the
+  /// window cannot hold the data.
+  std::optional<std::size_t> write_encoded(std::uint64_t physical, std::uint8_t start,
+                                           std::span<const std::uint8_t> image,
+                                           std::uint8_t size_bytes,
+                                           std::span<const std::uint8_t> word_content);
+
   /// One segmented differential write of a window image (the program stage).
   struct SegmentWrite {
     std::size_t flips = 0;
@@ -192,6 +217,9 @@ class PcmSystem {
 
   void handle_gap_move(const StartGap::GapMove& move);
   void mark_dead(std::uint64_t physical);
+  /// A dead line that stored a write again: leaves the dead count (Section
+  /// V-A.3's "return from the dead"). No-op for a live line.
+  void revive(LineMeta& info);
   [[nodiscard]] SlidePolicy slide_policy() const;
   [[nodiscard]] std::uint8_t preferred_start(const LineMeta& info, std::uint32_t bank,
                                              std::uint8_t size_bytes) const;

@@ -61,21 +61,6 @@ std::span<const FaultCell> window_faults_into(const PcmArray& array, std::size_t
   return {buf.cells.data(), buf.count};
 }
 
-namespace {
-
-/// Window fault count from the line's per-byte prefix sums (wrap-aware).
-std::size_t window_stuck_from_prefix(std::span<const std::uint16_t> prefix,
-                                     std::size_t start_byte, std::size_t size_bytes) {
-  const std::size_t end = start_byte + size_bytes;
-  if (end <= kBlockBytes) {
-    return static_cast<std::size_t>(prefix[end] - prefix[start_byte]);
-  }
-  return static_cast<std::size_t>(prefix[kBlockBytes] - prefix[start_byte]) +
-         prefix[end - kBlockBytes];
-}
-
-}  // namespace
-
 bool WindowPlacer::start_fits(const PcmArray& array, std::size_t line,
                               std::span<const std::uint16_t> prefix, std::uint8_t start,
                               std::uint8_t size_bytes,

@@ -58,6 +58,19 @@ struct WindowFaultBuffer {
                                                             std::uint8_t size_bytes,
                                                             WindowFaultBuffer& buf);
 
+/// Stuck cells in the (possibly wrapping) window, read off per-byte prefix
+/// sums: prefix[i] counts the faults in bytes [0, i) of the line.
+[[nodiscard]] inline std::size_t window_stuck_from_prefix(std::span<const std::uint16_t> prefix,
+                                                          std::size_t start_byte,
+                                                          std::size_t size_bytes) {
+  const std::size_t end = start_byte + size_bytes;
+  if (end <= kBlockBytes) {
+    return static_cast<std::size_t>(prefix[end] - prefix[start_byte]);
+  }
+  return static_cast<std::size_t>(prefix[kBlockBytes] - prefix[start_byte]) +
+         prefix[end - kBlockBytes];
+}
+
 /// How the controller may move the window when the current position fails.
 enum class SlidePolicy : std::uint8_t {
   kStay,     ///< only the preferred start (plain Comp before any slide)

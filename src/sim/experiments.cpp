@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/assert.hpp"
+#include "common/cli.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 
@@ -89,6 +90,14 @@ std::vector<std::string> all_app_names() {
   std::vector<std::string> names;
   for (const auto& app : spec2006_profiles()) names.push_back(app.name);
   return names;
+}
+
+FrontTierConfig tier_config_from_cli(const CliArgs& args) {
+  // The policy is parsed even without a tier so a misspelt one still fails.
+  const TierPolicy policy = tier_policy_from_string(args.get("tier-policy", "lru"));
+  const auto tier_kb = static_cast<std::size_t>(args.get_uint("tier-kb", 0));
+  if (tier_kb == 0) return {};
+  return FrontTierConfig::for_kb(tier_kb, policy);
 }
 
 }  // namespace pcmsim

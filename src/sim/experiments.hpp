@@ -10,6 +10,8 @@
 
 namespace pcmsim {
 
+class CliArgs;
+
 /// Scale of a lifetime experiment. Normalized lifetimes are insensitive to
 /// the scale (see bench/ablate_endurance_scale); it only trades wall-clock
 /// time against statistical smoothness.
@@ -50,5 +52,10 @@ struct LifetimeCell {
 
 /// Names of all 15 workloads in the paper's figure order.
 [[nodiscard]] std::vector<std::string> all_app_names();
+
+/// The front tier selected by `--tier-kb N --tier-policy lru|silent|comp`
+/// (capacity in DRAM kilobytes). Disabled when --tier-kb is absent or 0, so
+/// a tierless run is byte-identical to the simulator without the tier.
+[[nodiscard]] FrontTierConfig tier_config_from_cli(const CliArgs& args);
 
 }  // namespace pcmsim

@@ -5,6 +5,7 @@
 #include <optional>
 
 #include "common/assert.hpp"
+#include "tier/writeback_sink.hpp"
 #include "trace/prefetch_source.hpp"
 #include "trace/sampled_source.hpp"
 #include "trace/trace_source.hpp"
@@ -13,24 +14,25 @@ namespace pcmsim {
 
 namespace {
 
-/// Core loop shared by every source kind: drain `source` in batches into the
-/// system until 50% of lines are dead, the write cap is hit, or a finite
-/// trace runs dry. Batching amortizes the source's virtual call and profiler
-/// scope; event generation is independent of system state, so pre-generating
-/// a batch leaves the serviced write sequence identical to one-at-a-time.
-LifetimeResult run_lifetime_on(PcmSystem& system, TraceSource& source,
+/// The one lifetime loop behind both run_lifetime overloads: drain `trace`
+/// (through a PrefetchTraceSource when config.prefetch is set) in batches
+/// into the system until 50% of lines are dead, the write cap is hit, or a
+/// finite trace runs dry. Batching amortizes the source's virtual call and
+/// profiler scope; event generation is independent of system state, so
+/// pre-generating a batch leaves the serviced write sequence identical to
+/// one-at-a-time.
+LifetimeResult run_lifetime_on(PcmSystem& system, TraceSource& trace,
                                const LifetimeConfig& config) {
+  std::optional<PrefetchTraceSource> prefetched;
+  if (config.prefetch) prefetched.emplace(trace);
+  TraceSource& source = prefetched ? *prefetched : trace;
   const std::uint64_t logical_lines = system.logical_lines();
   std::array<WritebackEvent, 256> batch;
 
   LifetimeResult result;
   bool exhausted = false;
   std::optional<FrontTier> tier;
-  if (config.tier.enabled()) {
-    tier.emplace(config.tier, [&system, logical_lines](const FrontTier::Forward& fwd) {
-      (void)system.write(fwd.line % logical_lines, fwd.data);
-    });
-  }
+  if (config.tier.enabled()) tier.emplace(config.tier, pcm_forward_sink(system));
   // With a tier, max_writes caps *offered* write-backs (the workload-facing
   // traffic) rather than PCM-serviced writes; without one the two counters
   // are the same stream, and polling the offered count keeps this loop
@@ -94,10 +96,6 @@ LifetimeResult run_lifetime_on(PcmSystem& system, TraceSource& source,
 
 LifetimeResult run_lifetime(TraceSource& source, const LifetimeConfig& config) {
   PcmSystem system(config.system);
-  if (config.prefetch) {
-    PrefetchTraceSource prefetched(source);
-    return run_lifetime_on(system, prefetched, config);
-  }
   return run_lifetime_on(system, source, config);
 }
 
@@ -105,10 +103,6 @@ LifetimeResult run_lifetime(const AppProfile& app, const LifetimeConfig& config,
                             std::uint64_t trace_seed) {
   PcmSystem system(config.system);
   SampledTraceSource source(app, system.logical_lines(), trace_seed);
-  if (config.prefetch) {
-    PrefetchTraceSource prefetched(source);
-    return run_lifetime_on(system, prefetched, config);
-  }
   return run_lifetime_on(system, source, config);
 }
 

@@ -8,6 +8,7 @@
 
 #include "common/assert.hpp"
 #include "common/parallel.hpp"
+#include "core/window.hpp"
 
 namespace pcmsim {
 
@@ -36,13 +37,6 @@ bool trial_survives(const HardErrorScheme& scheme, std::size_t data_bytes,
   for (std::size_t i = 1; i <= kBlockBytes; ++i) {
     prefix[i] = static_cast<std::uint16_t>(prefix[i] + prefix[i - 1]);
   }
-  const auto count_in = [&](std::size_t start_byte) -> std::size_t {
-    const std::size_t end = start_byte + data_bytes;
-    if (end <= kBlockBytes) return prefix[end] - prefix[start_byte];
-    // wrapping window
-    return static_cast<std::size_t>(prefix[kBlockBytes] - prefix[start_byte]) +
-           prefix[end - kBlockBytes];
-  };
 
   const std::size_t starts = wrap_windows
                                  ? kBlockBytes
@@ -54,7 +48,7 @@ bool trial_survives(const HardErrorScheme& scheme, std::size_t data_bytes,
   const std::size_t bound = scheme.max_tolerable();
   scratch.windows.clear();
   for (std::size_t start = 0; start < starts; ++start) {
-    const std::size_t n = count_in(start);
+    const std::size_t n = window_stuck_from_prefix(prefix, start, data_bytes);
     if (n <= guaranteed) return true;
     if (n > bound) continue;
     scratch.windows.emplace_back(static_cast<std::uint16_t>(n),

@@ -89,20 +89,7 @@ ShardedPcmEngine::ShardedPcmEngine(const ShardedEngineConfig& config) : config_(
     for (Shard& s : shards_) {
       Shard* sp = &s;
       sp->tier.emplace(tier_cfg, [this, sp](const FrontTier::Forward& fwd) {
-        MemRequest req;
-        req.arrival_cycle = sp->cur_order * config_.arrival_gap_cycles;
-        req.is_read = false;
-        req.bank = 0;
-        sp->controller.submit(req);
-        const auto out = sp->system->write(fwd.line % sp->system->logical_lines(), fwd.data);
-        TenantAcc& acc = sp->acc[fwd.tag];
-        if (out.stored) {
-          ++acc.stored;
-          acc.flips += out.flips;
-        } else {
-          ++acc.dropped;
-        }
-        if (out.line_died) ++acc.deaths;
+        forward(*sp, sp->cur_order, fwd.line % sp->system->logical_lines(), fwd.data, fwd.tag);
       });
     }
   }
@@ -210,26 +197,31 @@ void ShardedPcmEngine::execute_shard(Shard& shard) {
     return;
   }
   for (const ShardEvent& ev : shard.front) {
-    // Charge the DDR-style bank model first (queueing + turnaround on this
-    // shard's bank), then execute the write against the shard's PcmSystem.
-    MemRequest req;
-    req.arrival_cycle = ev.order * config_.arrival_gap_cycles;
-    req.is_read = false;
-    req.bank = 0;
-    shard.controller.submit(req);
-
-    const auto out = shard.system->write(ev.local, ev.data);
-    TenantAcc& acc = shard.acc[ev.tenant];
-    ++acc.writes;
-    if (out.stored) {
-      ++acc.stored;
-      acc.flips += out.flips;
-    } else {
-      ++acc.dropped;
-    }
-    if (out.line_died) ++acc.deaths;
+    ++shard.acc[ev.tenant].writes;
+    forward(shard, ev.order, ev.local, ev.data, ev.tenant);
   }
   shard.events += shard.front.size();
+}
+
+void ShardedPcmEngine::forward(Shard& shard, std::uint64_t order, std::uint64_t local,
+                               const Block& data, std::uint32_t tenant) {
+  // Charge the DDR-style bank model first (queueing + turnaround on this
+  // shard's bank), then execute the write against the shard's PcmSystem.
+  MemRequest req;
+  req.arrival_cycle = order * config_.arrival_gap_cycles;
+  req.is_read = false;
+  req.bank = 0;
+  shard.controller.submit(req);
+
+  const auto out = shard.system->write(local, data);
+  TenantAcc& acc = shard.acc[tenant];
+  if (out.stored) {
+    ++acc.stored;
+    acc.flips += out.flips;
+  } else {
+    ++acc.dropped;
+  }
+  if (out.line_died) ++acc.deaths;
 }
 
 void ShardedPcmEngine::check_tenant_failures(

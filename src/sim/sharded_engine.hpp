@@ -184,6 +184,11 @@ class ShardedPcmEngine {
   /// region index 0 (or serially for the priming window).
   void dispatch_window(std::uint64_t max_events);
   void execute_shard(Shard& shard);
+  /// One write-back reaching a shard's bank, from its queue or its front
+  /// tier: charge the controller, write the shard's PcmSystem, and account
+  /// the outcome to `tenant`.
+  void forward(Shard& shard, std::uint64_t order, std::uint64_t local, const Block& data,
+               std::uint32_t tenant);
   void check_tenant_failures(std::vector<ShardedTenantResult>& tenants) const;
 
   ShardedEngineConfig config_;

@@ -2,9 +2,9 @@
 //
 // CmpHierarchy emits dirty L2 victims through a WritebackSink; FrontTier
 // emits evicted lines through a ForwardSink; PcmSystem::write consumes them.
-// These two helpers snap the three seams together so a hierarchy-driven run
-// (the table3/WPKI path) can feed the tier exactly like a TraceSource stream
-// does in run_lifetime.
+// These two helpers snap the three seams together; pcm_forward_sink is also
+// run_lifetime's tier sink, so a hierarchy-driven run (the table3/WPKI path)
+// lands tier evictions on PCM exactly as a TraceSource stream does.
 //
 // Header-only on purpose: it is the one place the tier touches cache and
 // core types, so pcmsim_tier itself stays free of those dependencies and the

@@ -122,24 +122,6 @@ TEST(RunningStat, MergeEqualsSingleAccumulator) {
   EXPECT_NEAR(a.variance(), whole.variance(), 1e-9);
 }
 
-TEST(Histogram, QuantileAndCdfAgree) {
-  Histogram h(0, 100, 100);
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.cdf(50.0), 0.5, 0.02);
-  EXPECT_NEAR(h.cdf(100.0), 1.0, 1e-12);
-  EXPECT_DOUBLE_EQ(h.cdf(0.0), 0.0);
-}
-
-TEST(Histogram, OutOfRangeClampsToEdges) {
-  Histogram h(0, 10, 10);
-  h.add(-5);
-  h.add(15);
-  EXPECT_EQ(h.bucket_count(0), 1u);
-  EXPECT_EQ(h.bucket_count(9), 1u);
-  EXPECT_EQ(h.total(), 2u);
-}
-
 TEST(EmpiricalCdf, QuantilesInterpolate) {
   EmpiricalCdf c;
   for (double x : {10.0, 20.0, 30.0, 40.0}) c.add(x);
@@ -242,6 +224,31 @@ TEST(Cli, NumericGettersConsumeTheWholeValue) {
   }
   const std::string msg = invalid_argument_message([&] { (void)args.get_double("rate", 0); });
   EXPECT_NE(msg.find("--rate"), std::string::npos) << msg;
+}
+
+TEST(Cli, UnsignedGetterRejectsJunkAndSigns) {
+  // A checksum past INT64_MAX parses; a junk suffix or a sign fails the run
+  // with exit status 2 and an error naming the flag, instead of wrapping.
+  const char* argv[] = {"prog", "--expect_checksum", "17292867332767202293junk", "--neg", "-3",
+                        "--plus=+3", "--big", "17292867332767202293"};
+  const CliArgs args(8, argv, {"expect_checksum", "neg", "plus", "big"});
+  EXPECT_EQ(args.get_uint("big", 0), 17292867332767202293ull);
+  for (const char* key : {"expect_checksum", "neg", "plus"}) {
+    try {
+      (void)args.get_uint(key, 0);
+      ADD_FAILURE() << key << " parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + key), std::string::npos)
+          << e.what();
+      EXPECT_EQ(cli_error(e), 2);
+    }
+  }
+  // List items (front_tier --tier-kbs 8,16) go through the same parse.
+  EXPECT_EQ(parse_uint("tier-kbs", "16"), 16u);
+  for (const char* item : {"16kb", "-8", ""}) {
+    const std::string msg = invalid_argument_message([&] { (void)parse_uint("tier-kbs", item); });
+    EXPECT_NE(msg.find("--tier-kbs"), std::string::npos) << item << ": " << msg;
+  }
 }
 
 TEST(Cli, ParsesSignedAndScientificNumbers) {

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <tuple>
+#include <vector>
 
 #include "core/system.hpp"
 #include "trace/sampled_source.hpp"
@@ -25,27 +27,78 @@ SystemConfig cfg_for(SystemMode mode, std::uint64_t seed, double endurance = 120
   return cfg;
 }
 
-class AllModes : public ::testing::TestWithParam<SystemMode> {};
+/// One store path through PcmSystem::write: a mode, a scheme (a window
+/// scheme or the word-granularity coset code), and lifetime or
+/// functional-verify programming.
+struct StorePath {
+  SystemMode mode;
+  const char* ecc;
+  bool functional;
+};
 
-TEST_P(AllModes, AccountingBalances) {
-  PcmSystem sys(cfg_for(GetParam(), 3));
+std::vector<StorePath> store_paths() {
+  std::vector<StorePath> out;
+  for (const bool functional : {false, true}) {
+    for (const auto mode : {SystemMode::kBaseline, SystemMode::kComp, SystemMode::kCompW,
+                            SystemMode::kCompWF}) {
+      out.push_back({mode, "ecp6", functional});
+      // The word scheme consumes compression slack, so it needs compression.
+      if (mode != SystemMode::kBaseline) out.push_back({mode, "coset-w4", functional});
+    }
+  }
+  return out;
+}
+
+void PrintTo(const StorePath& path, std::ostream* os) {
+  *os << to_string(path.mode) << "/" << path.ecc << (path.functional ? "/functional" : "");
+}
+
+class StorePaths : public ::testing::TestWithParam<StorePath> {};
+
+TEST_P(StorePaths, AccountingBalances) {
+  const StorePath path = GetParam();
+  auto cfg = cfg_for(path.mode, 3);
+  cfg.ecc_spec = path.ecc;
+  cfg.functional_verify = path.functional;
+  PcmSystem sys(cfg);
   const auto& app = profile_by_name("gcc");
   SampledTraceSource source(app, sys.logical_lines(), 3);
   TraceCursor gen(source);
+  // Classify every write by its outcome: stored, dropped at a dead line, or
+  // failed (a first death or a failed recycle attempt).
+  std::uint64_t issued = 0;
+  std::uint64_t stored = 0;
+  std::uint64_t dropped = 0;
+  std::uint64_t failed = 0;
+  std::uint64_t deaths = 0;
   for (int i = 0; i < 40000 && !sys.failed(); ++i) {
     const auto ev = gen.next();
-    (void)sys.write(ev.line, ev.data);
+    const std::uint64_t dropped_before = sys.stats().dropped_writes;
+    const auto out = sys.write(ev.line, ev.data);
+    ++issued;
+    if (out.stored) {
+      ++stored;
+    } else if (sys.stats().dropped_writes > dropped_before) {
+      ++dropped;
+    } else {
+      ++failed;
+    }
+    if (out.line_died) ++deaths;
+    EXPECT_FALSE(out.stored && out.line_died);
   }
   const auto& st = sys.stats();
-  // Every accepted write is stored exactly once; drops and deaths cover the rest.
-  EXPECT_LE(st.compressed_writes + st.uncompressed_writes + st.dropped_writes, st.writes);
-  const std::uint64_t failed_writes =
-      st.writes - st.compressed_writes - st.uncompressed_writes - st.dropped_writes;
-  // Failed writes are first deaths or failed recycle attempts on dead lines;
-  // either way at least one uncorrectable event must have been recorded.
-  if (failed_writes > 0) {
-    EXPECT_GT(st.uncorrectable_events, 0u);
+  ASSERT_GT(deaths, 0u) << "the run must reach the death tail";
+  if (cfg.recycling_enabled()) {
+    EXPECT_GT(st.recycled_lines, 0u) << "the run must revive a dead line";
   }
+  EXPECT_EQ(st.writes, issued);
+  EXPECT_EQ(st.compressed_writes + st.uncompressed_writes, stored);
+  EXPECT_EQ(st.dropped_writes, dropped);
+  EXPECT_EQ(stored + dropped + failed, st.writes);
+  // Each write-time death is a distinct uncorrectable event; gap moves that
+  // cannot place their data add more.
+  EXPECT_GE(st.uncorrectable_events, deaths);
+  EXPECT_GE(failed, deaths);
   // Dead-line count must match a direct scan.
   std::uint64_t dead_scan = 0;
   for (std::uint64_t p = 0; p < sys.config().device.lines; ++p) {
@@ -55,6 +108,17 @@ TEST_P(AllModes, AccountingBalances) {
   EXPECT_GE(sys.dead_fraction(), 0.0);
   EXPECT_LE(sys.dead_fraction(), 1.0);
 }
+
+INSTANTIATE_TEST_SUITE_P(Paths, StorePaths, ::testing::ValuesIn(store_paths()),
+                         [](const ::testing::TestParamInfo<StorePath>& param) {
+                           std::string n(to_string(param.param.mode));
+                           n += std::string("_") + param.param.ecc;
+                           if (param.param.functional) n += "_functional";
+                           std::erase_if(n, [](char c) { return c == '+' || c == '-'; });
+                           return n;
+                         });
+
+class AllModes : public ::testing::TestWithParam<SystemMode> {};
 
 TEST_P(AllModes, RunsAreReproducible) {
   const auto mode = GetParam();
