@@ -120,15 +120,7 @@ int main(int argc, char** argv) try {
                  "60 meta bits (vs ECP-6's 6 in 63); Coset-W4 spends compression slack\n"
                  "in-word instead of on a movable window.\n";
   }
-  if (args.has("expect_checksum")) {
-    const std::uint64_t expect = args.get_uint("expect_checksum", 0);
-    if (expect != h) {
-      std::cerr << "checksum mismatch: expected " << expect << ", got " << h
-                << " — a scheme's lifetime behaviour changed\n";
-      return 1;
-    }
-  }
-  return 0;
+  return check_expected_checksum(args, h, "a scheme's lifetime behaviour changed");
 } catch (const std::exception& e) {
   return cli_error(e);
 }

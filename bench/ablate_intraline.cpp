@@ -1,7 +1,7 @@
 // Ablation: intra-line wear-leveling rotation period. Too-frequent rotation
 // inflates flips (each window move re-writes the whole window over stale
 // bits); too-rare rotation leaves the line's wear concentrated. This is the
-// tradeoff behind core/system.cpp's auto threshold (20x endurance).
+// tradeoff behind core/system.cpp's auto threshold (2x endurance).
 #include <iostream>
 #include <mutex>
 

@@ -19,17 +19,7 @@ int main(int argc, char** argv) try {
       args.get_bool("paper") ? "paper" : (args.get_bool("fast") ? "fast" : "default"));
   scale.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
 
-  std::vector<std::string> apps = all_app_names();
-  if (args.has("apps")) {
-    apps.clear();
-    std::string list = args.get("apps", "");
-    std::size_t pos = 0;
-    while (pos != std::string::npos) {
-      const auto comma = list.find(',', pos);
-      apps.push_back(list.substr(pos, comma == std::string::npos ? comma : comma - pos));
-      pos = comma == std::string::npos ? comma : comma + 1;
-    }
-  }
+  const std::vector<std::string> apps = args.get_list("apps", all_app_names());
 
   const std::vector<SystemMode> modes = {SystemMode::kBaseline, SystemMode::kComp,
                                          SystemMode::kCompW, SystemMode::kCompWF};

@@ -33,19 +33,6 @@ using namespace pcmsim;
 
 namespace {
 
-std::vector<std::string> split_csv(const std::string& csv) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos < csv.size()) {
-    const std::size_t comma = csv.find(',', pos);
-    const std::size_t end = comma == std::string::npos ? csv.size() : comma;
-    out.push_back(csv.substr(pos, end - pos));
-    pos = end + 1;
-  }
-  expects(!out.empty(), "csv list must name at least one entry");
-  return out;
-}
-
 /// One run of the matrix: a (app, kb, policy) cell, or an app's filterless
 /// baseline when kb == 0.
 struct Job {
@@ -71,15 +58,15 @@ int main(int argc, char** argv) try {
   const std::uint64_t trace_seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
 
   std::vector<std::size_t> kbs;
-  for (const std::string& s : split_csv(args.get("tier-kbs", "8,16,32"))) {
+  for (const std::string& s : args.get_list("tier-kbs", {"8", "16", "32"})) {
     kbs.push_back(static_cast<std::size_t>(parse_uint("tier-kbs", s)));
   }
   std::vector<TierPolicy> policies;
-  for (const std::string& s : split_csv(args.get("policies", "lru,silent,comp"))) {
+  for (const std::string& s : args.get_list("policies", {"lru", "silent", "comp"})) {
     policies.push_back(tier_policy_from_string(s));
   }
   std::vector<AppProfile> apps;
-  for (const std::string& s : split_csv(args.get("apps", "gcc,milc,lbm"))) {
+  for (const std::string& s : args.get_list("apps", {"gcc", "milc", "lbm"})) {
     apps.push_back(profile_by_name(s));
   }
 
@@ -171,15 +158,8 @@ int main(int argc, char** argv) try {
     prof::dump_json(std::cout, "");
     std::cout << "\n";
   }
-  if (args.has("expect_checksum")) {
-    const std::uint64_t expect = args.get_uint("expect_checksum", 0);
-    if (expect != h) {
-      std::cerr << "checksum mismatch: expected " << expect << ", got " << h
-                << " — the front-tier matrix's observable behaviour changed\n";
-      return 1;
-    }
-  }
-  return 0;
+  return check_expected_checksum(args, h,
+                                 "the front-tier matrix's observable behaviour changed");
 } catch (const std::exception& e) {
   return cli_error(e);
 }

@@ -100,7 +100,6 @@ int main(int argc, char** argv) try {
   const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
   const std::string path = args.get("out", "/tmp/pcmsim_tracegen.trace");
   const std::string source_kind = args.get("source", "sampled");
-  const auto expect_checksum = args.get_int("expect_checksum", -1);
   if (source_kind != "sampled" && source_kind != "file") {
     std::cerr << "--source must be 'sampled' or 'file'\n";
     return 1;
@@ -207,12 +206,7 @@ int main(int argc, char** argv) try {
 
   const std::size_t gate = static_cast<std::size_t>(checksum & 0x7FFFFFFFull);
   std::cout << "  \"checksum\": " << gate << "\n}\n";
-  if (expect_checksum >= 0 && static_cast<std::size_t>(expect_checksum) != gate) {
-    std::cerr << "checksum mismatch: expected " << expect_checksum << ", got " << gate
-              << " — trace source or file-format behaviour changed\n";
-    return 1;
-  }
-  return 0;
+  return check_expected_checksum(args, gate, "trace source or file-format behaviour changed");
 } catch (const std::exception& e) {
   return cli_error(e);
 }

@@ -75,7 +75,6 @@ int main(int argc, char** argv) try {
   const auto writes = static_cast<std::size_t>(args.get_int("writes", 200000));
   const auto lines = static_cast<std::uint64_t>(args.get_int("lines", 4096));
   const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-  const auto expect_checksum = args.get_int("expect_checksum", -1);
   if (args.get_bool("profile")) prof::set_enabled(true);
 
   // Pre-generate a mixed corpus so trace generation stays out of every timed
@@ -179,12 +178,7 @@ int main(int argc, char** argv) try {
   }
   std::cout << "\n}\n";
 
-  if (expect_checksum >= 0 && static_cast<std::size_t>(expect_checksum) != checksum) {
-    std::cerr << "checksum mismatch: expected " << expect_checksum << ", got " << checksum
-              << " — the write path's observable behaviour changed\n";
-    return 1;
-  }
-  return 0;
+  return check_expected_checksum(args, checksum, "the write path's observable behaviour changed");
 } catch (const std::exception& e) {
   return cli_error(e);
 }

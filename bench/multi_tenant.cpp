@@ -30,26 +30,9 @@
 
 using namespace pcmsim;
 
-namespace {
-
-std::vector<AppProfile> parse_apps(const std::string& csv) {
-  std::vector<AppProfile> apps;
-  std::size_t pos = 0;
-  while (pos < csv.size()) {
-    const std::size_t comma = csv.find(',', pos);
-    const std::size_t end = comma == std::string::npos ? csv.size() : comma;
-    apps.push_back(profile_by_name(csv.substr(pos, end - pos)));
-    pos = end + 1;
-  }
-  expects(!apps.empty(), "--apps must name at least one profile");
-  return apps;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) try {
   const CliArgs args(argc, argv, {"apps", "channels", "cov", "endurance", "events",
-                                  "expect_checksum", "gap_cycles", "lines", "prefetch",
+                                  "expect_checksum", "gap_cycles", "lines",
                                   "queue_capacity", "seed", "shards", "tenant_batch", "tenants",
                                   "threads", "tier-kb", "tier-policy"});
   const std::size_t threads = set_threads_from_cli(args);
@@ -59,7 +42,10 @@ int main(int argc, char** argv) try {
   const auto events = static_cast<std::uint64_t>(args.get_int("events", 200000));
   const auto lines = static_cast<std::uint64_t>(args.get_int("lines", 257));
   const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-  const std::vector<AppProfile> apps = parse_apps(args.get("apps", "gcc,milc,lbm"));
+  std::vector<AppProfile> apps;
+  for (const std::string& name : args.get_list("apps", {"gcc", "milc", "lbm"})) {
+    apps.push_back(profile_by_name(name));
+  }
 
   ShardedEngineConfig cfg;
   cfg.shard_system.device.lines = lines;
@@ -75,7 +61,6 @@ int main(int argc, char** argv) try {
   cfg.queue_capacity = static_cast<std::size_t>(args.get_int("queue_capacity", 4096));
   cfg.tenant_batch = static_cast<std::size_t>(args.get_int("tenant_batch", 256));
   cfg.arrival_gap_cycles = static_cast<std::uint64_t>(args.get_int("gap_cycles", 16));
-  cfg.prefetch = args.get_bool("prefetch");
   // The front tier, when enabled, sits in front of every shard (capacity is
   // per shard).
   cfg.tier = tier_config_from_cli(args);
@@ -161,15 +146,8 @@ int main(int argc, char** argv) try {
   }
   std::cout << "\n  ],\n  \"checksum\": " << result.checksum << "\n}\n";
 
-  if (args.has("expect_checksum")) {
-    const std::uint64_t expect = args.get_uint("expect_checksum", 0);
-    if (expect != result.checksum) {
-      std::cerr << "checksum mismatch: expected " << expect << ", got " << result.checksum
-                << " — the sharded engine's observable behaviour changed\n";
-      return 1;
-    }
-  }
-  return 0;
+  return check_expected_checksum(args, result.checksum,
+                                 "the sharded engine's observable behaviour changed");
 } catch (const std::exception& e) {
   return cli_error(e);
 }

@@ -9,8 +9,6 @@
 //                      Table III and Fig 6
 //   --trace FILE       loop a captured v2 trace file (values re-versioned
 //                      each pass so differential writes keep flipping cells)
-//   --prefetch         fill trace batches on a background thread, overlapping
-//                      generation/decode with write execution
 //   --ecc SPEC         hard-error scheme by registry spec ("ecp6", "bch-t6",
 //                      "coset-w4", ... — see ecc/registry.hpp); the scheme's
 //                      traits prune the mode list to legal combinations
@@ -34,7 +32,7 @@
 using namespace pcmsim;
 
 int main(int argc, char** argv) try {
-  const CliArgs args(argc, argv, {"app", "cov", "ecc", "endurance", "lines", "prefetch", "profile",
+  const CliArgs args(argc, argv, {"app", "cov", "ecc", "endurance", "lines", "profile",
                                   "threads", "tier-kb", "tier-policy", "trace"});
   set_threads_from_cli(args);
   if (args.get_bool("profile")) prof::set_enabled(true);
@@ -57,7 +55,6 @@ int main(int argc, char** argv) try {
   lc.system.ecc_spec = ecc_spec;
 
   const std::string trace_path = args.get("trace", "");
-  lc.prefetch = args.get_bool("prefetch");
   lc.tier = tier_config_from_cli(args);
 
   std::cout << "Workload: " << app.name << " (WPKI " << app.wpki << ", Table III CR "
@@ -65,7 +62,6 @@ int main(int argc, char** argv) try {
   if (!trace_path.empty()) {
     std::cout << "Source: looped trace replay of " << trace_path << "\n";
   }
-  if (lc.prefetch) std::cout << "Prefetch: background batch fill enabled\n";
   if (lc.tier.enabled()) {
     std::cout << "Front tier: " << lc.tier.capacity_lines << " lines ("
               << lc.tier.capacity_lines * kBlockBytes / 1024 << " KB), policy "

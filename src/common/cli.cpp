@@ -92,8 +92,34 @@ bool CliArgs::get_bool(const std::string& key, bool dflt) const {
   bad_value(key, *v, "true/false");
 }
 
+std::vector<std::string> CliArgs::get_list(const std::string& key,
+                                           const std::vector<std::string>& dflt) const {
+  const std::string* v = find(key);
+  if (!v) return dflt;
+  std::vector<std::string> items;
+  std::size_t pos = 0;
+  while (true) {
+    const std::size_t comma = v->find(',', pos);
+    const std::size_t end = comma == std::string::npos ? v->size() : comma;
+    if (end == pos) bad_value(key, *v, "a comma-separated list with no empty item");
+    items.push_back(v->substr(pos, end - pos));
+    if (comma == std::string::npos) return items;
+    pos = comma + 1;
+  }
+}
+
 std::uint64_t parse_uint(const std::string& key, const std::string& text) {
   return parse_number<std::uint64_t>(key, text, "a non-negative integer");
+}
+
+int check_expected_checksum(const CliArgs& args, std::uint64_t actual,
+                            std::string_view what_changed) {
+  if (!args.has("expect_checksum")) return 0;
+  const std::uint64_t expect = args.get_uint("expect_checksum", 0);
+  if (expect == actual) return 0;
+  std::cerr << "checksum mismatch: expected " << expect << ", got " << actual << " — "
+            << what_changed << "\n";
+  return 1;
 }
 
 int cli_error(const std::exception& e) {

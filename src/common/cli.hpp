@@ -14,6 +14,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace pcmsim {
 
@@ -36,6 +37,11 @@ class CliArgs {
   [[nodiscard]] double get_double(const std::string& key, double dflt) const;
   /// A bare `--flag`, "1" or "true" is true; "0" or "false" is false.
   [[nodiscard]] bool get_bool(const std::string& key, bool dflt = false) const;
+  /// The comma-separated items of `--key` ("gcc,milc"), or `dflt` when the
+  /// flag is absent. An empty item ("milc,", "a,,b", or an empty value) is
+  /// rejected with an error naming the flag.
+  [[nodiscard]] std::vector<std::string> get_list(const std::string& key,
+                                                  const std::vector<std::string>& dflt) const;
 
  private:
   [[nodiscard]] const std::string* find(const std::string& key) const;
@@ -47,6 +53,14 @@ class CliArgs {
 /// get_uint's parse for one item of a list-valued flag: all of `text` as an
 /// unsigned integer, or std::invalid_argument naming `--key`.
 [[nodiscard]] std::uint64_t parse_uint(const std::string& key, const std::string& text);
+
+/// The `--expect_checksum` gate of a digest-pinned binary. When the flag is
+/// present (read with get_uint, so a sign or a junk suffix is rejected) and
+/// differs from `actual`, prints "checksum mismatch: expected E, got A —
+/// <what_changed>" on stderr and returns 1; otherwise returns 0. The result
+/// is the binary's exit status.
+[[nodiscard]] int check_expected_checksum(const CliArgs& args, std::uint64_t actual,
+                                          std::string_view what_changed);
 
 /// Reports `e` on stderr and returns the exit status of a failed run, so a
 /// binary's `main` can end in `catch (const std::exception& e) { return

@@ -64,9 +64,6 @@ class InlineBytes {
     buf_[size_++] = value;
   }
 
-  operator std::span<const std::uint8_t>() const { return {buf_.data(), size_}; }
-  operator std::span<std::uint8_t>() { return {buf_.data(), size_}; }
-
   friend bool operator==(const InlineBytes& a, const InlineBytes& b) {
     return a.size_ == b.size_ && std::memcmp(a.buf_.data(), b.buf_.data(), a.size_) == 0;
   }

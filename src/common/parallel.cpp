@@ -71,8 +71,8 @@ class Pool {
 
     // One region at a time. If another thread's region is already active, run
     // inline instead of blocking on it: that region's tasks may themselves be
-    // waiting on this thread's output (a PrefetchTraceSource worker feeding a
-    // parallel_map task does exactly this), so blocking here can deadlock.
+    // waiting on this thread's output (a helper thread feeding a parallel_map
+    // task), so blocking here can deadlock.
     // Results are written to caller-indexed slots, so the serial fallback is
     // bit-identical to the fanned-out execution.
     std::unique_lock run_lk(run_m_, std::try_to_lock);

@@ -15,9 +15,9 @@
 // oversubscription), and a region opened while another thread's region is
 // active also runs inline — a busy pool degrades to serial execution (same
 // results, by the slot rule above) instead of blocking, so regions compose
-// freely across threads (e.g. a prefetch worker decoding inside a
-// parallel_map task). Exceptions thrown by `fn` cancel the remaining indices
-// and are rethrown on the calling thread.
+// freely across threads (e.g. a thread the pool does not own, whose output a
+// parallel_map task waits on, may open its own region). Exceptions thrown by
+// `fn` cancel the remaining indices and are rethrown on the calling thread.
 #pragma once
 
 #include <cstddef>

@@ -7,7 +7,6 @@ namespace pcmsim::prof {
 std::string_view stage_name(Stage s) {
   switch (s) {
     case Stage::kTraceGen: return "trace_gen";
-    case Stage::kTraceWait: return "trace_wait";
     case Stage::kTierFilter: return "tier_filter";
     case Stage::kCompress: return "compress";
     case Stage::kHeuristic: return "heuristic";

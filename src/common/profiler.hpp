@@ -28,7 +28,6 @@ namespace pcmsim::prof {
 
 enum class Stage : std::uint8_t {
   kTraceGen,   ///< synthetic write-back generation (workload/trace)
-  kTraceWait,  ///< consumer-side wait+copy under PrefetchTraceSource
   kTierFilter, ///< DRAM front-tier filtering (tier/front_tier: lookup,
                ///< fingerprint, victim choice; excludes PCM forwards)
   kCompress,   ///< best-of(BDI,FPC) compression

@@ -51,8 +51,8 @@ struct SystemConfig {
   PcmDeviceConfig device;         ///< device.lines = physical lines (incl. gap)
   std::uint32_t banks = 8;        ///< Table II: 2 channels x 1 rank x 4 banks
   std::uint64_t gap_interval = 100;
-  /// Bank-counter saturation for intra-line rotation. 0 = auto-scale the
-  /// paper's 2^16 with endurance (2^16 * endurance_mean / 1e7, min 1).
+  /// Bank-counter saturation for intra-line rotation. 0 = auto: 2 x
+  /// endurance_mean (min 1), the plateau bench/ablate_intraline measures.
   std::uint64_t rotation_threshold = 0;
   HeuristicConfig heuristic;      ///< active in kCompWF (and ablations)
   double dead_capacity_fraction = 0.5;  ///< system fails at 50% worn capacity

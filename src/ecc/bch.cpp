@@ -37,8 +37,8 @@ std::uint64_t BchScheme::syndromes(std::span<const std::uint8_t> data,
       for (std::size_t k = 0; k < t_; ++k) acc[k] ^= exp_[exponent[k]];
     }
     for (std::size_t k = 0; k < t_; ++k) {
-      exponent[k] = static_cast<std::uint16_t>(exponent[k] + 2 * k + 1);
-      if (exponent[k] >= kFieldOrder) exponent[k] -= kFieldOrder;
+      const std::size_t e = exponent[k] + 2 * k + 1;
+      exponent[k] = static_cast<std::uint16_t>(e >= kFieldOrder ? e - kFieldOrder : e);
     }
   }
   std::uint64_t packed = 0;

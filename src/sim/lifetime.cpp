@@ -6,7 +6,6 @@
 
 #include "common/assert.hpp"
 #include "tier/writeback_sink.hpp"
-#include "trace/prefetch_source.hpp"
 #include "trace/sampled_source.hpp"
 #include "trace/trace_source.hpp"
 
@@ -14,18 +13,14 @@ namespace pcmsim {
 
 namespace {
 
-/// The one lifetime loop behind both run_lifetime overloads: drain `trace`
-/// (through a PrefetchTraceSource when config.prefetch is set) in batches
-/// into the system until 50% of lines are dead, the write cap is hit, or a
-/// finite trace runs dry. Batching amortizes the source's virtual call and
+/// The one lifetime loop behind both run_lifetime overloads: drain `source`
+/// in batches into the system until 50% of lines are dead, the write cap is
+/// hit, or a finite trace runs dry. Batching amortizes the source's virtual call and
 /// profiler scope; event generation is independent of system state, so
 /// pre-generating a batch leaves the serviced write sequence identical to
 /// one-at-a-time.
-LifetimeResult run_lifetime_on(PcmSystem& system, TraceSource& trace,
+LifetimeResult run_lifetime_on(PcmSystem& system, TraceSource& source,
                                const LifetimeConfig& config) {
-  std::optional<PrefetchTraceSource> prefetched;
-  if (config.prefetch) prefetched.emplace(trace);
-  TraceSource& source = prefetched ? *prefetched : trace;
   const std::uint64_t logical_lines = system.logical_lines();
   std::array<WritebackEvent, 256> batch;
 

@@ -21,11 +21,6 @@ struct LifetimeConfig {
   SystemConfig system;
   std::uint64_t max_writes = 400'000'000;  ///< safety cap (reported if hit)
   std::uint64_t check_interval = 1024;     ///< failure-poll cadence
-  /// Wrap the trace source in a PrefetchTraceSource so event generation runs
-  /// on a background thread, overlapped with write execution. Off by default:
-  /// the delivered stream is byte-identical either way (tests pin this), so
-  /// this is purely a wall-clock knob.
-  bool prefetch = false;
   /// Content-aware DRAM front tier between the trace stream and PcmSystem
   /// (tier/front_tier.hpp). Disabled by default (capacity_lines == 0), in
   /// which case the run is byte-identical to the pre-tier simulator; when
@@ -73,7 +68,6 @@ class TraceSource;
 /// looped replay). A finite source that runs dry before failure reports
 /// reached_failure = false with the writes it managed to service. Replayed
 /// line addresses are folded onto the configured region with a modulo.
-/// Honours config.prefetch by decorating `source` with PrefetchTraceSource.
 [[nodiscard]] LifetimeResult run_lifetime(TraceSource& source, const LifetimeConfig& config);
 
 /// Parameters converting simulated writes-to-failure into physical months.

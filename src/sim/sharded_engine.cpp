@@ -7,7 +7,6 @@
 #include "common/assert.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
-#include "trace/prefetch_source.hpp"
 #include "trace/sampled_source.hpp"
 
 namespace pcmsim {
@@ -51,8 +50,6 @@ struct ShardedPcmEngine::Shard {
 
 struct ShardedPcmEngine::Tenant {
   std::unique_ptr<TraceSource> source;
-  std::unique_ptr<PrefetchTraceSource> prefetched;  ///< after source: destroyed first
-  TraceSource* active = nullptr;
   bool exhausted = false;
 };
 
@@ -113,15 +110,7 @@ void ShardedPcmEngine::add_tenant(std::unique_ptr<TraceSource> source) {
   expects(!ran_, "tenants must be registered before run()");
   expects(tenants_.size() < config_.tenants, "all configured tenant slots are filled");
   expects(source != nullptr, "tenant source must not be null");
-  Tenant t;
-  t.source = std::move(source);
-  if (config_.prefetch) {
-    t.prefetched = std::make_unique<PrefetchTraceSource>(*t.source);
-    t.active = t.prefetched.get();
-  } else {
-    t.active = t.source.get();
-  }
-  tenants_.push_back(std::move(t));
+  tenants_.push_back(Tenant{std::move(source)});
 }
 
 void ShardedPcmEngine::add_sampled_tenants(const std::vector<AppProfile>& apps) {
@@ -158,7 +147,7 @@ void ShardedPcmEngine::dispatch_window(std::uint64_t max_events) {
       if (tenant.exhausted) continue;
       const std::size_t want = static_cast<std::size_t>(std::min<std::uint64_t>(
           config_.tenant_batch, max_events - dispatched_));
-      const std::size_t n = tenant.active->next_batch(std::span(batch.data(), want));
+      const std::size_t n = tenant.source->next_batch(std::span(batch.data(), want));
       if (n < want) tenant.exhausted = true;  // finite source ran dry
       for (std::size_t i = 0; i < n; ++i) {
         // Fold onto the tenant's disjoint logical slice, then interleave the

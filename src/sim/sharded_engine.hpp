@@ -14,7 +14,7 @@
 //     simulated lifetime.
 //
 // Many concurrent tenants drive the engine: one TraceSource per tenant
-// (sampled, file replay, or prefetch-wrapped — anything behind the seam),
+// (sampled or file replay — anything behind the seam),
 // each folded onto a disjoint slice of the global logical address space so
 // tenants wear shared banks without aliasing each other's lines.
 //
@@ -59,8 +59,6 @@
 
 namespace pcmsim {
 
-class PrefetchTraceSource;
-
 struct ShardedEngineConfig {
   /// Per-shard system template. `device.lines` is the line count of ONE
   /// shard (including its Start-Gap spare); seeds are ignored and replaced
@@ -79,9 +77,6 @@ struct ShardedEngineConfig {
   std::size_t queue_capacity = 4096;
   /// Events pulled from one tenant per dispatch round (batch amortization).
   std::size_t tenant_batch = 256;
-  /// Wrap every tenant source in PrefetchTraceSource so generation runs on
-  /// background threads too. Stream-identical; purely a wall-clock knob.
-  bool prefetch = false;
   /// Number of tenant streams the run will be driven by. Fixed up front so
   /// each tenant's disjoint logical slice (tenant_region_lines()) is known
   /// before any source is constructed; run() requires exactly this many

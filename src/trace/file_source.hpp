@@ -8,8 +8,9 @@
 // Chunks decode serially, in file order, through one TraceFileReader; a
 // corrupt chunk is a ContractViolation from next_batch, and retrying throws
 // again. Decode is serial because no workload gained from a parallel one
-// (EXPERIMENTS.md, "Parallel v2 chunk decode"); wrap the source in
-// PrefetchTraceSource to overlap decode with write execution.
+// (EXPERIMENTS.md, "Parallel v2 chunk decode"). Under the sharded engine,
+// decode already overlaps write execution: the dispatcher fills the next
+// window while the shards execute the current one.
 //
 // LoopedFileTraceSource makes a finite capture drive an unbounded lifetime
 // run. Replaying a recorded trace verbatim a second time is degenerate under

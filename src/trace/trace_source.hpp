@@ -9,13 +9,10 @@
 //     for every figure/table bench and lifetime run.
 //   * FileTraceSource / LoopedFileTraceSource (file_source.hpp) — replay of
 //     on-disk v2 captures (trace_file.hpp).
-//   * PrefetchTraceSource (prefetch_source.hpp) — decorator that fills the
-//     next batch on a background thread, overlapping generation/decode with
-//     the consumer's write execution.
 //
 // Sources produce events in batches (next_batch) so per-event virtual-call
 // and profiler overhead amortizes across a span. Every source's stream is
-// independent of how it is batched — the decorators above rely on this.
+// independent of how it is batched, so callers may pick any batch size.
 #pragma once
 
 #include <span>

@@ -251,6 +251,44 @@ TEST(Cli, UnsignedGetterRejectsJunkAndSigns) {
   }
 }
 
+TEST(Cli, ChecksumGateRejectsSignsAndReportsMismatches) {
+  // A negative checksum is a parse error (exit 2), never a disabled gate.
+  const char* neg[] = {"prog", "--expect_checksum", "-1"};
+  const CliArgs neg_args(3, neg, {"expect_checksum"});
+  try {
+    (void)check_expected_checksum(neg_args, 1, "changed");
+    ADD_FAILURE() << "-1 parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--expect_checksum"), std::string::npos) << e.what();
+    EXPECT_EQ(cli_error(e), 2);
+  }
+
+  const char* pinned[] = {"prog", "--expect_checksum", "17292867332767202293"};
+  const CliArgs args(3, pinned, {"expect_checksum"});
+  EXPECT_EQ(check_expected_checksum(args, 17292867332767202293ull, "changed"), 0);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(check_expected_checksum(args, 188248, "the write path changed"), 1);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("expected 17292867332767202293, got 188248"), std::string::npos) << err;
+  EXPECT_NE(err.find("the write path changed"), std::string::npos) << err;
+
+  const char* absent[] = {"prog"};
+  EXPECT_EQ(check_expected_checksum(CliArgs(1, absent, {"expect_checksum"}), 1, "changed"), 0);
+}
+
+TEST(Cli, ListGetterSplitsOnCommasAndRejectsEmptyItems) {
+  const char* argv[] = {"prog", "--apps", "milc,gcc", "--one=lbm", "--trailing", "milc,",
+                        "--double=a,,b", "--leading", ",milc", "--empty="};
+  const CliArgs args(10, argv, {"apps", "one", "trailing", "double", "leading", "empty", "absent"});
+  EXPECT_EQ(args.get_list("apps", {}), (std::vector<std::string>{"milc", "gcc"}));
+  EXPECT_EQ(args.get_list("one", {}), (std::vector<std::string>{"lbm"}));
+  EXPECT_EQ(args.get_list("absent", {"x", "y"}), (std::vector<std::string>{"x", "y"}));
+  for (const char* key : {"trailing", "double", "leading", "empty"}) {
+    const std::string msg = invalid_argument_message([&] { (void)args.get_list(key, {}); });
+    EXPECT_NE(msg.find(std::string("--") + key), std::string::npos) << key << ": " << msg;
+  }
+}
+
 TEST(Cli, ParsesSignedAndScientificNumbers) {
   const char* argv[] = {"prog", "--threads", "-1", "--endurance", "1e7", "--cov=.25"};
   const CliArgs args(6, argv, {"threads", "endurance", "cov"});
@@ -260,10 +298,10 @@ TEST(Cli, ParsesSignedAndScientificNumbers) {
 }
 
 TEST(Cli, BoolFlagsRejectUnknownValues) {
-  const char* argv[] = {"prog", "--csv", "out.csv", "--fast=0", "--prefetch", "true"};
-  const CliArgs args(6, argv, {"csv", "fast", "prefetch"});
+  const char* argv[] = {"prog", "--csv", "out.csv", "--fast=0", "--profile", "true"};
+  const CliArgs args(6, argv, {"csv", "fast", "profile"});
   EXPECT_FALSE(args.get_bool("fast", true));
-  EXPECT_TRUE(args.get_bool("prefetch"));
+  EXPECT_TRUE(args.get_bool("profile"));
   const std::string msg = invalid_argument_message([&] { (void)args.get_bool("csv"); });
   EXPECT_NE(msg.find("--csv"), std::string::npos) << msg;
 }

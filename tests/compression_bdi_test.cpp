@@ -87,7 +87,9 @@ TEST(Bdi, CompressAlwaysReturnsSmallestApplicableLayout) {
   for (auto layout : {BdiLayout::kZeros, BdiLayout::kRep8, BdiLayout::kB8D1, BdiLayout::kB8D2,
                       BdiLayout::kB8D4, BdiLayout::kB4D1, BdiLayout::kB4D2, BdiLayout::kB2D1}) {
     const auto alt = c.compress_with_layout(b, layout);
-    if (alt) EXPECT_LE(best->size_bytes(), alt->size_bytes()) << to_string(layout);
+    if (alt) {
+      EXPECT_LE(best->size_bytes(), alt->size_bytes()) << to_string(layout);
+    }
   }
 }
 

@@ -70,11 +70,11 @@ INSTANTIATE_TEST_SUITE_P(
                       ClassCase{ValueClass::kFloatArray, 4, 4, 0, 42, true},
                       ClassCase{ValueClass::kFpcMixed, 8, 10, 4, 48, true},
                       ClassCase{ValueClass::kRandom, 1, 1, 0, 64, false}),
-    [](const ::testing::TestParamInfo<ClassCase>& info) {
-      std::string name = std::string(to_string(info.param.cls)) + "_p" +
-                         std::to_string(info.param.plo) + "_" +
-                         std::to_string(info.param.phi) + "_a" +
-                         std::to_string(info.param.aux);
+    [](const ::testing::TestParamInfo<ClassCase>& param_info) {
+      std::string name = std::string(to_string(param_info.param.cls)) + "_p" +
+                         std::to_string(param_info.param.plo) + "_" +
+                         std::to_string(param_info.param.phi) + "_a" +
+                         std::to_string(param_info.param.aux);
       std::replace(name.begin(), name.end(), '-', '_');
       return name;
     });

@@ -225,8 +225,8 @@ TEST_P(RegisteredSchemeRecovery, PastGuaranteeIsRefusedOrStillExact) {
 INSTANTIATE_TEST_SUITE_P(AllRegistered, RegisteredSchemeRecovery,
                          ::testing::Values("ecp6", "ecp12", "safer32", "aegis17x31",
                                            "secded", "bch-t2", "bch-t6", "coset-w4"),
-                         [](const ::testing::TestParamInfo<std::string>& info) {
-                           std::string n = info.param;
+                         [](const ::testing::TestParamInfo<std::string>& param_info) {
+                           std::string n = param_info.param;
                            std::replace(n.begin(), n.end(), '-', '_');
                            return n;
                          });

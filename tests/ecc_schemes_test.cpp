@@ -80,8 +80,8 @@ INSTANTIATE_TEST_SUITE_P(
         SchemeCase{"aegis-512", [] { return std::make_unique<AegisScheme>(17, 31); }, 512, 20},
         SchemeCase{"aegis-100", [] { return std::make_unique<AegisScheme>(17, 31); }, 100, 16},
         SchemeCase{"secded-512", [] { return std::make_unique<SecdedScheme>(); }, 512, 8}),
-    [](const ::testing::TestParamInfo<SchemeCase>& info) {
-      std::string n = info.param.name;
+    [](const ::testing::TestParamInfo<SchemeCase>& param_info) {
+      std::string n = param_info.param.name;
       std::replace(n.begin(), n.end(), '-', '_');
       return n;
     });

@@ -77,7 +77,7 @@ TEST(FlipNWrite, EncodedFlipsMatchesDefinitionAcrossGroupSizes) {
   // The fused encoded_flips() must equal the definition computed from the
   // actual encoding: payload cells that change plus flag cells that change.
   Rng rng(4);
-  for (const std::size_t gb : {8, 16, 32, 64, 128, 512}) {
+  for (const std::size_t gb : {8u, 16u, 32u, 64u, 128u, 512u}) {
     FlipNWriteCodec codec(gb);
     Block stored{};
     std::uint64_t flags = 0;

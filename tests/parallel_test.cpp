@@ -80,8 +80,7 @@ TEST_F(ParallelTest, NestedRegionsRunInlineWithoutDeadlock) {
 TEST_F(ParallelTest, ForeignThreadRegionDegradesToInlineWhilePoolBusy) {
   // A region opened from a thread the pool does not own, while another
   // region is active, must run inline instead of blocking: the active
-  // region's tasks may be waiting on that thread's output (the prefetch
-  // decorator's worker does exactly this). Index 0 is always claimed first,
+  // region's tasks may be waiting on that thread's output. Index 0 is always claimed first,
   // so the helper thread runs while the other tasks hold the region open;
   // with a blocking pool this test deadlocks.
   set_parallel_threads(4);

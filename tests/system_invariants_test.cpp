@@ -171,8 +171,8 @@ TEST_P(AllModes, FeatureSwitchesMatchMode) {
 INSTANTIATE_TEST_SUITE_P(Modes, AllModes,
                          ::testing::Values(SystemMode::kBaseline, SystemMode::kComp,
                                            SystemMode::kCompW, SystemMode::kCompWF),
-                         [](const ::testing::TestParamInfo<SystemMode>& info) {
-                           std::string n(to_string(info.param));
+                         [](const ::testing::TestParamInfo<SystemMode>& param_info) {
+                           std::string n(to_string(param_info.param));
                            n.erase(std::remove(n.begin(), n.end(), '+'), n.end());
                            return n;
                          });
