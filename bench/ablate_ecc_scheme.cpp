@@ -48,8 +48,7 @@ int main(int argc, char** argv) try {
   set_threads_from_cli(args);
   const ScopedTimer timer("ablate_ecc_scheme");
   auto scale = ExperimentScale::from_flag(args.get_bool("fast") ? "fast" : "default");
-  scale.physical_lines = static_cast<std::uint64_t>(
-      args.get_int("lines", static_cast<std::int64_t>(scale.physical_lines)));
+  scale.physical_lines = args.get_uint("lines", scale.physical_lines);
   scale.endurance_mean = args.get_double("endurance", scale.endurance_mean);
 
   const std::vector<std::string> app_names = {"milc", "gcc", "lbm"};

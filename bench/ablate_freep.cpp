@@ -63,7 +63,7 @@ int main(int argc, char** argv) try {
   const CliArgs args(argc, argv, {"csv", "seed", "threads"});
   set_threads_from_cli(args);
   const ScopedTimer timer("ablate_freep");
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 3));
+  const std::uint64_t seed = args.get_uint("seed", 3);
 
   // Each spare-fraction sweep point is an independent region run.
   const std::vector<double> fracs = {0.0, 0.05, 0.125, 0.25};

@@ -19,8 +19,8 @@ int main(int argc, char** argv) try {
   const CliArgs args(argc, argv, {"csv", "group", "threads", "writes"});
   set_threads_from_cli(args);
   const ScopedTimer timer("ablate_writereduce");
-  const auto writes = static_cast<int>(args.get_int("writes", 40000));
-  const auto group_bits = static_cast<std::size_t>(args.get_int("group", 64));
+  const std::uint64_t writes = args.get_uint("writes", 40000);
+  const auto group_bits = static_cast<std::size_t>(args.get_uint("group", 64));
 
   // Each app replays its own fixed-seed trace — one pool task per app.
   struct Flips {
@@ -40,7 +40,7 @@ int main(int argc, char** argv) try {
     std::unordered_map<LineAddr, State> lines;
     RunningStat dw;
     RunningStat fnw;
-    for (int i = 0; i < writes; ++i) {
+    for (std::uint64_t i = 0; i < writes; ++i) {
       const auto ev = gen.next();
       auto& st = lines[ev.line];
       if (!st.seen) {

@@ -16,8 +16,8 @@ using namespace pcmsim;
 int main(int argc, char** argv) try {
   const CliArgs args(argc, argv, {"app", "csv", "seed", "writes"});
   const std::string app_name = args.get("app", "gobmk");
-  const auto samples = static_cast<std::size_t>(args.get_int("writes", 64));
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
+  const auto samples = static_cast<std::size_t>(args.get_uint("writes", 64));
+  const std::uint64_t seed = args.get_uint("seed", 7);
 
   const AppProfile& app = profile_by_name(app_name);
   SampledTraceSource src(app, 1 << 12, seed);

@@ -13,8 +13,8 @@ using namespace pcmsim;
 
 int main(int argc, char** argv) try {
   const CliArgs args(argc, argv, {"csv", "seed", "writes"});
-  const auto writes = static_cast<int>(args.get_int("writes", 20000));
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 1234));
+  const std::uint64_t writes = args.get_uint("writes", 20000);
+  const std::uint64_t seed = args.get_uint("seed", 1234);
 
   BestOfCompressor best;
   TablePrinter table({"app", "BDI_B", "FPC_B", "BEST_B", "CR_meas", "CR_paper"});
@@ -25,7 +25,7 @@ int main(int argc, char** argv) try {
     RunningStat bdi_size;
     RunningStat fpc_size;
     RunningStat best_size;
-    for (int i = 0; i < writes; ++i) {
+    for (std::uint64_t i = 0; i < writes; ++i) {
       const auto ev = gen.next();
       const auto [b, f] = best.probe_both(ev.data);  // one fused scan, both sizes
       bdi_size.add(b ? static_cast<double>(*b) : 64.0);

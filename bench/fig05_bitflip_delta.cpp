@@ -26,8 +26,8 @@ struct ShadowLine {
 
 int main(int argc, char** argv) try {
   const CliArgs args(argc, argv, {"csv", "seed", "writes"});
-  const auto writes = static_cast<int>(args.get_int("writes", 60000));
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+  const std::uint64_t writes = args.get_uint("writes", 60000);
+  const std::uint64_t seed = args.get_uint("seed", 42);
 
   BestOfCompressor best;
   TablePrinter table({"app", "increased%", "untouched%", "decreased%"});
@@ -39,7 +39,7 @@ int main(int argc, char** argv) try {
     std::uint64_t inc = 0;
     std::uint64_t same = 0;
     std::uint64_t dec = 0;
-    for (int i = 0; i < writes; ++i) {
+    for (std::uint64_t i = 0; i < writes; ++i) {
       const auto ev = gen.next();
       auto& sh = lines[ev.line];
       if (!sh.seen) {  // first write: no old data to diff against

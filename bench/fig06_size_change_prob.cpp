@@ -13,8 +13,8 @@ using namespace pcmsim;
 
 int main(int argc, char** argv) try {
   const CliArgs args(argc, argv, {"csv", "seed", "writes"});
-  const auto writes = static_cast<int>(args.get_int("writes", 60000));
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 77));
+  const std::uint64_t writes = args.get_uint("writes", 60000);
+  const std::uint64_t seed = args.get_uint("seed", 77);
 
   BestOfCompressor best;
   TablePrinter table({"app", "P(size_change)"});
@@ -25,7 +25,7 @@ int main(int argc, char** argv) try {
     std::unordered_map<LineAddr, std::size_t> last;
     std::uint64_t changed = 0;
     std::uint64_t pairs = 0;
-    for (int i = 0; i < writes; ++i) {
+    for (std::uint64_t i = 0; i < writes; ++i) {
       const auto ev = gen.next();
       const auto c = best.probe_size(ev.data);
       const std::size_t size = c ? *c : kBlockBytes;

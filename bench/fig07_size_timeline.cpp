@@ -14,7 +14,7 @@ using namespace pcmsim;
 
 namespace {
 
-void trace_app(const std::string& name, int samples, std::uint64_t seed, bool csv) {
+void trace_app(const std::string& name, std::size_t samples, std::uint64_t seed, bool csv) {
   const AppProfile& app = profile_by_name(name);
   SampledTraceSource src(app, 1 << 12, seed);
   TraceCursor gen(src);
@@ -42,17 +42,17 @@ void trace_app(const std::string& name, int samples, std::uint64_t seed, bool cs
     const auto c = best.probe_size(ev.data);
     sizes[ev.line].push_back(c ? *c : kBlockBytes);
     bool done = sizes.size() == 3;
-    for (const auto& [_, v] : sizes) done = done && v.size() >= static_cast<std::size_t>(samples);
+    for (const auto& [_, v] : sizes) done = done && v.size() >= samples;
     if (done) break;
     (void)it;
   }
 
   TablePrinter table({"write#", "block1_B", "block2_B", "block3_B"});
-  for (int i = 0; i < samples; ++i) {
+  for (std::size_t i = 0; i < samples; ++i) {
     table.add_row({TablePrinter::fmt(static_cast<std::uint64_t>(i)),
-                   TablePrinter::fmt(static_cast<std::uint64_t>(sizes[blocks[0]][static_cast<std::size_t>(i)])),
-                   TablePrinter::fmt(static_cast<std::uint64_t>(sizes[blocks[1]][static_cast<std::size_t>(i)])),
-                   TablePrinter::fmt(static_cast<std::uint64_t>(sizes[blocks[2]][static_cast<std::size_t>(i)]))});
+                   TablePrinter::fmt(static_cast<std::uint64_t>(sizes[blocks[0]][i])),
+                   TablePrinter::fmt(static_cast<std::uint64_t>(sizes[blocks[1]][i])),
+                   TablePrinter::fmt(static_cast<std::uint64_t>(sizes[blocks[2]][i]))});
   }
   if (csv) {
     std::cout << name << "\n";
@@ -67,8 +67,8 @@ void trace_app(const std::string& name, int samples, std::uint64_t seed, bool cs
 
 int main(int argc, char** argv) try {
   const CliArgs args(argc, argv, {"csv", "seed", "writes"});
-  const auto samples = static_cast<int>(args.get_int("writes", 40));
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 5));
+  const auto samples = static_cast<std::size_t>(args.get_uint("writes", 40));
+  const std::uint64_t seed = args.get_uint("seed", 5);
   const bool csv = args.get_bool("csv");
   trace_app("bzip2", samples, seed, csv);
   trace_app("hmmer", samples, seed, csv);

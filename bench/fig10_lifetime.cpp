@@ -17,7 +17,7 @@ int main(int argc, char** argv) try {
   const ScopedTimer timer("fig10_lifetime");
   auto scale = ExperimentScale::from_flag(
       args.get_bool("paper") ? "paper" : (args.get_bool("fast") ? "fast" : "default"));
-  scale.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  scale.seed = args.get_uint("seed", 1);
 
   const std::vector<std::string> apps = args.get_list("apps", all_app_names());
 

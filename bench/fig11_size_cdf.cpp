@@ -14,8 +14,8 @@ using namespace pcmsim;
 
 int main(int argc, char** argv) try {
   const CliArgs args(argc, argv, {"csv", "seed", "writes"});
-  const auto writes = static_cast<int>(args.get_int("writes", 200000));
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 13));
+  const std::uint64_t writes = args.get_uint("writes", 200000);
+  const std::uint64_t seed = args.get_uint("seed", 13);
   const bool csv = args.get_bool("csv");
 
   BestOfCompressor best;
@@ -24,7 +24,7 @@ int main(int argc, char** argv) try {
     SampledTraceSource src(app, 1 << 14, seed);
     TraceCursor gen(src);
     std::unordered_map<LineAddr, std::size_t> max_size;
-    for (int i = 0; i < writes; ++i) {
+    for (std::uint64_t i = 0; i < writes; ++i) {
       const auto ev = gen.next();
       const auto c = best.probe_size(ev.data);
       const std::size_t size = c ? *c : kBlockBytes;

@@ -51,11 +51,11 @@ int main(int argc, char** argv) try {
   if (args.get_bool("profile")) prof::set_enabled(true);
 
   LifetimeConfig base;
-  base.system.device.lines = static_cast<std::uint64_t>(args.get_int("lines", 512));
+  base.system.device.lines = args.get_uint("lines", 512);
   base.system.device.endurance_mean = args.get_double("endurance", 200);
   base.system.device.endurance_cov = args.get_double("cov", 0.15);
-  base.max_writes = static_cast<std::uint64_t>(args.get_int("max_writes", 100'000'000));
-  const std::uint64_t trace_seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+  base.max_writes = args.get_uint("max_writes", 100'000'000);
+  const std::uint64_t trace_seed = args.get_uint("seed", 42);
 
   std::vector<std::size_t> kbs;
   for (const std::string& s : args.get_list("tier-kbs", {"8", "16", "32"})) {

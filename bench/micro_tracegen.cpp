@@ -95,9 +95,9 @@ SourceRun run_source(TraceSource& source, std::size_t events) {
 
 int main(int argc, char** argv) try {
   const CliArgs args(argc, argv, {"events", "expect_checksum", "lines", "out", "seed", "source"});
-  const auto events = static_cast<std::size_t>(args.get_int("events", 150000));
-  const auto lines = static_cast<std::uint64_t>(args.get_int("lines", 4096));
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+  const auto events = static_cast<std::size_t>(args.get_uint("events", 150000));
+  const auto lines = args.get_uint("lines", 4096);
+  const std::uint64_t seed = args.get_uint("seed", 42);
   const std::string path = args.get("out", "/tmp/pcmsim_tracegen.trace");
   const std::string source_kind = args.get("source", "sampled");
   if (source_kind != "sampled" && source_kind != "file") {

@@ -72,9 +72,9 @@ double place_ns_per_find(std::size_t faults_per_line, std::uint64_t seed) {
 
 int main(int argc, char** argv) try {
   const CliArgs args(argc, argv, {"expect_checksum", "lines", "profile", "seed", "writes"});
-  const auto writes = static_cast<std::size_t>(args.get_int("writes", 200000));
-  const auto lines = static_cast<std::uint64_t>(args.get_int("lines", 4096));
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+  const auto writes = static_cast<std::size_t>(args.get_uint("writes", 200000));
+  const auto lines = args.get_uint("lines", 4096);
+  const std::uint64_t seed = args.get_uint("seed", 42);
   if (args.get_bool("profile")) prof::set_enabled(true);
 
   // Pre-generate a mixed corpus so trace generation stays out of every timed

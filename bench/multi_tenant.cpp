@@ -17,6 +17,7 @@
 //   ./build/bench/multi_tenant --tenants 64 --shards 8 --threads 8
 //   ./build/bench/multi_tenant --tenants 16 --events 20000 --expect_checksum <pinned>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,12 +37,19 @@ int main(int argc, char** argv) try {
                                   "queue_capacity", "seed", "shards", "tenant_batch", "tenants",
                                   "threads", "tier-kb", "tier-policy"});
   const std::size_t threads = set_threads_from_cli(args);
+  // Geometry and batch sizes divide by their value, so zero is rejected here,
+  // naming the flag, rather than deep in the engine.
+  const auto positive = [&args](const std::string& flag, std::uint64_t dflt) {
+    const std::uint64_t v = args.get_uint(flag, dflt);
+    if (v == 0) throw std::invalid_argument("--" + flag + ": expected a positive integer, got '0'");
+    return v;
+  };
 
-  const auto tenants = static_cast<std::uint32_t>(args.get_int("tenants", 16));
-  const auto shards = static_cast<std::uint32_t>(args.get_int("shards", 8));
-  const auto events = static_cast<std::uint64_t>(args.get_int("events", 200000));
-  const auto lines = static_cast<std::uint64_t>(args.get_int("lines", 257));
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+  const auto tenants = static_cast<std::uint32_t>(args.get_uint("tenants", 16));
+  const auto shards = static_cast<std::uint32_t>(positive("shards", 8));
+  const auto events = args.get_uint("events", 200000);
+  const auto lines = args.get_uint("lines", 257);
+  const std::uint64_t seed = args.get_uint("seed", 42);
   std::vector<AppProfile> apps;
   for (const std::string& name : args.get_list("apps", {"gcc", "milc", "lbm"})) {
     apps.push_back(profile_by_name(name));
@@ -53,22 +61,26 @@ int main(int argc, char** argv) try {
   cfg.shard_system.device.endurance_cov = args.get_double("cov", 0.15);
   // Geometry: channels divide the shard count when possible (Table II has 2
   // channels); odd shard counts fall back to a single channel.
-  const auto channels = static_cast<std::uint32_t>(args.get_int("channels", 2));
+  const auto channels = static_cast<std::uint32_t>(positive("channels", 2));
   cfg.map.channels = (shards % channels == 0 && shards >= channels) ? channels : 1;
   cfg.map.banks_per_channel = shards / cfg.map.channels;
   cfg.tenants = tenants;
   cfg.seed = seed;
-  cfg.queue_capacity = static_cast<std::size_t>(args.get_int("queue_capacity", 4096));
-  cfg.tenant_batch = static_cast<std::size_t>(args.get_int("tenant_batch", 256));
-  cfg.arrival_gap_cycles = static_cast<std::uint64_t>(args.get_int("gap_cycles", 16));
+  cfg.queue_capacity = static_cast<std::size_t>(args.get_uint("queue_capacity", 4096));
+  cfg.tenant_batch = static_cast<std::size_t>(positive("tenant_batch", 256));
+  cfg.arrival_gap_cycles = args.get_uint("gap_cycles", 16);
   // The front tier, when enabled, sits in front of every shard (capacity is
   // per shard).
   cfg.tier = tier_config_from_cli(args);
 
+  // Set-up (the shards' systems and the tenants' sources) and the run are
+  // timed apart; empty labels keep the timers silent.
+  const ScopedTimer setup_timer("");
   ShardedPcmEngine engine(cfg);
   engine.add_sampled_tenants(apps);
+  const double setup = setup_timer.elapsed_seconds();
 
-  const ScopedTimer timer("");  // empty label: silent; we report elapsed ourselves
+  const ScopedTimer timer("");
   const ShardedRunResult result = engine.run(events);
   const double wall = timer.elapsed_seconds();
 
@@ -94,6 +106,7 @@ int main(int argc, char** argv) try {
             << "  \"threads\": " << threads << ",\n"
             << "  \"events\": " << result.events << ",\n"
             << "  \"epochs\": " << result.epochs << ",\n"
+            << "  \"setup_seconds\": " << setup << ",\n"
             << "  \"wall_seconds\": " << wall << ",\n"
             << "  \"aggregate_writes_per_sec\": "
             << (wall > 0 ? static_cast<double>(result.events) / wall : 0) << ",\n"

@@ -23,8 +23,8 @@ using namespace pcmsim;
 int main(int argc, char** argv) try {
   const CliArgs args(argc, argv, {"csv", "instructions", "lines", "seed", "tier-kb",
                                   "tier-policy"});
-  const auto instructions = static_cast<std::uint64_t>(args.get_int("instructions", 400000));
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 3));
+  const auto instructions = args.get_uint("instructions", 400000);
+  const std::uint64_t seed = args.get_uint("seed", 3);
   const FrontTierConfig tier_cfg = tier_config_from_cli(args);
 
   BestOfCompressor best;
@@ -41,7 +41,7 @@ int main(int argc, char** argv) try {
     std::optional<FrontTier> tier;
     if (tier_cfg.enabled()) {
       SystemConfig sys;
-      sys.device.lines = static_cast<std::uint64_t>(args.get_int("lines", 4097));
+      sys.device.lines = args.get_uint("lines", 4097);
       // Characterization run: default (unscaled-down) endurance, so nothing
       // dies over a bench-sized instruction budget.
       pcm.emplace(sys);

@@ -31,7 +31,7 @@ int main(int argc, char** argv) try {
   const AppProfile& app = profile_by_name(app_name);
 
   LifetimeConfig lc;
-  lc.system.device.lines = static_cast<std::uint64_t>(args.get_int("lines", 512));
+  lc.system.device.lines = args.get_uint("lines", 512);
   lc.system.device.endurance_mean = args.get_double("endurance", 400);
   lc.system.device.endurance_cov = 0.15;
   lc.max_writes = 4'000'000'000ull;

@@ -20,8 +20,8 @@ using namespace pcmsim;
 
 int main(int argc, char** argv) try {
   const CliArgs args(argc, argv, {"faults", "seed"});
-  const auto nfaults = static_cast<std::size_t>(args.get_int("faults", 40));
-  Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 9)));
+  const auto nfaults = static_cast<std::size_t>(args.get_uint("faults", 40));
+  Rng rng(args.get_uint("seed", 9));
 
   // Inject `nfaults` stuck cells at uniform positions.
   std::vector<std::uint16_t> cells(kBlockBits);

@@ -39,6 +39,10 @@ void CmpHierarchy::access(std::uint32_t core, LineAddr line, bool is_store,
   }
 }
 
+bool CmpHierarchy::holds(std::uint32_t core, LineAddr line) const {
+  return l1s_.at(core).contains(line) || l2_.contains(line);
+}
+
 void CmpHierarchy::handle_l2_eviction(const CacheLevel::AccessResult& result) {
   if (!result.evicted) return;
   // Inclusive hierarchy: every L2 eviction back-invalidates the L1 copies.
@@ -128,7 +132,9 @@ void CmpSimulator::run(std::uint64_t instructions_per_core) {
       const LineAddr line =
           mix64(rank ^ (static_cast<std::uint64_t>(core) << 48) ^ seed_ * 31);
       const bool is_store = rng_.next_bool(app_.store_fraction);
-      const Block fill = value_of(line);
+      // Memory content matters only on an L1 and L2 miss, so it is synthesized
+      // only then, and before next_store_value advances the line's version.
+      const Block fill = hierarchy_.holds(core, line) ? Block{} : value_of(line);
       if (is_store) {
         const Block data = next_store_value(line);
         hierarchy_.access(core, line, true, &data, fill);

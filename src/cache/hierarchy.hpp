@@ -33,9 +33,13 @@ class CmpHierarchy {
   CmpHierarchy(const HierarchyConfig& config, WritebackSink sink);
 
   /// One load/store from `core`. `fill` supplies memory content on an L2
-  /// miss; `store_data` is the line's new content for stores.
+  /// miss; `store_data` is the line's new content for stores. `fill` is read
+  /// only when holds(core, line) is false.
   void access(std::uint32_t core, LineAddr line, bool is_store, const Block* store_data,
               const Block& fill);
+
+  /// Whether `core`'s L1 or the shared L2 holds `line`. No side effects.
+  [[nodiscard]] bool holds(std::uint32_t core, LineAddr line) const;
 
   /// Zeroes all statistics; cache contents stay warm.
   void reset_stats();

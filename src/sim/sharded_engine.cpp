@@ -33,8 +33,8 @@ struct TenantAcc {
 };
 
 struct ShardedPcmEngine::Shard {
-  Shard(const SystemConfig& sys, const ControllerConfig& ctrl, std::uint32_t ntenants)
-      : system(std::make_unique<PcmSystem>(sys)), controller(ctrl), acc(ntenants) {}
+  Shard(std::unique_ptr<PcmSystem> sys, const ControllerConfig& ctrl, std::uint32_t ntenants)
+      : system(std::move(sys)), controller(ctrl), acc(ntenants) {}
 
   std::unique_ptr<PcmSystem> system;
   MemoryController controller;
@@ -66,12 +66,18 @@ ShardedPcmEngine::ShardedPcmEngine(const ShardedEngineConfig& config) : config_(
   ControllerConfig ctrl = config_.controller;
   ctrl.banks = 1;  // a shard IS one bank; cross-bank parallelism is the shards
   const std::uint32_t nshards = config_.map.shards();
-  shards_.reserve(nshards);
-  for (std::uint32_t s = 0; s < nshards; ++s) {
+  // Each shard's PcmSystem depends only on its own split seeds, so the pool
+  // builds them into per-index slots: the same systems at any --threads.
+  std::vector<std::unique_ptr<PcmSystem>> systems(nshards);
+  parallel_for(nshards, [&](std::size_t s) {
     SystemConfig sys = config_.shard_system;
     sys.seed = mix64(config_.seed, s, kShardStartGapSalt);
     sys.device.seed = mix64(config_.seed, s, kShardEnduranceSalt);
-    shards_.emplace_back(sys, ctrl, config_.tenants);
+    systems[s] = std::make_unique<PcmSystem>(sys);
+  });
+  shards_.reserve(nshards);
+  for (std::unique_ptr<PcmSystem>& sys : systems) {
+    shards_.emplace_back(std::move(sys), ctrl, config_.tenants);
     shards_.back().front.reserve(config_.queue_capacity + config_.tenant_batch);
     shards_.back().back.reserve(config_.queue_capacity + config_.tenant_batch);
   }
@@ -115,11 +121,18 @@ void ShardedPcmEngine::add_tenant(std::unique_ptr<TraceSource> source) {
 
 void ShardedPcmEngine::add_sampled_tenants(const std::vector<AppProfile>& apps) {
   expects(!apps.empty(), "need at least one app profile");
+  // One alias table per app, built on the pool and shared by every tenant
+  // running that app: the table is immutable, so sharing it leaves each
+  // tenant's stream unchanged.
+  const auto tables = parallel_map(apps, [](const AppProfile& app) {
+    return std::make_shared<const ZipfAliasTable>(app.working_set_lines, app.zipf_theta);
+  });
   const std::uint64_t region = tenant_region_lines();
   for (std::uint32_t t = static_cast<std::uint32_t>(tenants_.size()); t < config_.tenants;
        ++t) {
-    add_tenant(std::make_unique<SampledTraceSource>(
-        apps[t % apps.size()], region, mix64(config_.seed, kTenantSeedSalt, t)));
+    add_tenant(std::make_unique<SampledTraceSource>(apps[t % apps.size()], region,
+                                                    mix64(config_.seed, kTenantSeedSalt, t),
+                                                    tables[t % apps.size()]));
   }
 }
 

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "common/profiler.hpp"
@@ -12,46 +13,28 @@
 
 namespace pcmsim {
 
-SampledTraceSource::SampledTraceSource(const AppProfile& app, std::uint64_t region_lines,
-                                       std::uint64_t seed)
-    : app_(app),
-      region_lines_(region_lines),
-      seed_(seed),
-      rank_rng_(mix64(seed ^ 0x7ac3ull)),
-      state_rng_(mix64(seed ^ 0x51a7e5ull)),
-      classes_(app_, seed) {
-  expects(region_lines > 0, "region must be non-empty");
-  expects(app_.classes.size() <= 256, "class index must fit a byte");
-  build_alias();
-  states_.resize(region_lines_);
-  ctx_.resize(region_lines_);
-  base_.resize(region_lines_);
-  current_.resize(region_lines_);
-}
-
-void SampledTraceSource::build_alias() {
+ZipfAliasTable::ZipfAliasTable(std::uint64_t n, double theta) {
   // Walker/Vose alias construction over the Zipf weights 1/(k+1)^theta.
   // O(n) setup amortized over every draw; each draw is then O(1) instead of
-  // the CDF sampler's O(log n) binary search over a multi-MB array.
-  const std::uint64_t n = app_.working_set_lines;
+  // the CDF sampler's O(log n) binary search over a multi-MB array. The
+  // weights are written straight into prob_ and scaled in place.
   expects(n > 0, "Zipf universe must be non-empty");
   expects(n <= (std::uint64_t{1} << 32), "alias table index must fit 32 bits");
-  std::vector<double> w(n);
+  prob_.resize(n);
+  alias_.resize(n);
   double total = 0.0;
   for (std::uint64_t k = 0; k < n; ++k) {
-    w[k] = 1.0 / std::pow(static_cast<double>(k + 1), app_.zipf_theta);
-    total += w[k];
+    prob_[k] = 1.0 / std::pow(static_cast<double>(k + 1), theta);
+    total += prob_[k];
+    alias_[k] = static_cast<std::uint32_t>(k);
   }
-  alias_prob_.assign(n, 1.0);
-  alias_.resize(n);
-  for (std::uint64_t k = 0; k < n; ++k) alias_[k] = static_cast<std::uint32_t>(k);
 
   const double scale = static_cast<double>(n) / total;
   std::vector<std::uint32_t> small;
   std::vector<std::uint32_t> large;
   for (std::uint64_t k = 0; k < n; ++k) {
-    alias_prob_[k] = w[k] * scale;
-    (alias_prob_[k] < 1.0 ? small : large).push_back(static_cast<std::uint32_t>(k));
+    prob_[k] *= scale;
+    (prob_[k] < 1.0 ? small : large).push_back(static_cast<std::uint32_t>(k));
   }
   while (!small.empty() && !large.empty()) {
     const std::uint32_t s = small.back();
@@ -59,17 +42,38 @@ void SampledTraceSource::build_alias() {
     const std::uint32_t l = large.back();
     large.pop_back();
     alias_[s] = l;
-    alias_prob_[l] -= 1.0 - alias_prob_[s];
-    (alias_prob_[l] < 1.0 ? small : large).push_back(l);
+    prob_[l] -= 1.0 - prob_[s];
+    (prob_[l] < 1.0 ? small : large).push_back(l);
   }
   // Leftovers are 1.0 up to rounding; clamp so they always take their own slot.
-  for (const std::uint32_t k : small) alias_prob_[k] = 1.0;
-  for (const std::uint32_t k : large) alias_prob_[k] = 1.0;
+  for (const std::uint32_t k : small) prob_[k] = 1.0;
+  for (const std::uint32_t k : large) prob_[k] = 1.0;
 }
 
-std::uint64_t SampledTraceSource::draw_rank() {
-  const std::uint64_t i = rank_rng_.next_below(alias_.size());
-  return rank_rng_.next_double() < alias_prob_[i] ? i : alias_[i];
+SampledTraceSource::SampledTraceSource(const AppProfile& app, std::uint64_t region_lines,
+                                       std::uint64_t seed)
+    : SampledTraceSource(app, region_lines, seed,
+                         std::make_shared<const ZipfAliasTable>(app.working_set_lines,
+                                                                app.zipf_theta)) {}
+
+SampledTraceSource::SampledTraceSource(const AppProfile& app, std::uint64_t region_lines,
+                                       std::uint64_t seed,
+                                       std::shared_ptr<const ZipfAliasTable> table)
+    : app_(app),
+      region_lines_(region_lines),
+      seed_(seed),
+      rank_rng_(mix64(seed ^ 0x7ac3ull)),
+      state_rng_(mix64(seed ^ 0x51a7e5ull)),
+      classes_(app_, seed),
+      ranks_(std::move(table)) {
+  expects(region_lines > 0, "region must be non-empty");
+  expects(app_.classes.size() <= 256, "class index must fit a byte");
+  expects(ranks_ != nullptr && ranks_->size() == app_.working_set_lines,
+          "alias table must cover the app's working set");
+  states_.resize(region_lines_);
+  ctx_.resize(region_lines_);
+  base_.resize(region_lines_);
+  current_.resize(region_lines_);
 }
 
 void SampledTraceSource::rebuild_base(LineAddr line, LineState& st) {
@@ -121,12 +125,13 @@ std::size_t SampledTraceSource::next_batch(std::span<WritebackEvent> out) {
   // Tile the batch: draw a run of ranks back-to-back (tight RNG/alias loop),
   // then run the state updates. Keeps the hot alias arrays in cache across a
   // tile instead of interleaving them with 64-byte block traffic.
+  const ZipfAliasTable& ranks = *ranks_;
   std::array<LineAddr, 64> lines;
   std::size_t done = 0;
   while (done < out.size()) {
     const std::size_t tile = std::min(lines.size(), out.size() - done);
     for (std::size_t i = 0; i < tile; ++i) {
-      lines[i] = fold_rank(draw_rank(), seed_, region_lines_);
+      lines[i] = fold_rank(ranks.draw(rank_rng_), seed_, region_lines_);
     }
     for (std::size_t i = 0; i < tile; ++i) produce(lines[i], out[done + i]);
     done += tile;

@@ -12,8 +12,10 @@
 //   1. flat arrays indexed by the folded line (the region is small by
 //      construction: traces fold the app's working set onto the simulated
 //      PCM region) instead of a map;
-//   2. an O(1) Walker/Vose alias table over the Zipf pmf, built once per app,
-//      instead of a binary search over a multi-MB CDF;
+//   2. an O(1) Walker/Vose alias table over the Zipf pmf (ZipfAliasTable)
+//      instead of a binary search over a multi-MB CDF. The table is immutable
+//      once built, so sources of the same app may share one: the sharded
+//      engine builds one per app, not one per tenant;
 //   3. cached static base + current blocks per line, advanced one version
 //      incrementally via value_model's apply_dynamic (revert the previous
 //      version's touched words, apply the new overlay) instead of full value
@@ -25,6 +27,7 @@
 // it to Table III compression ratios and the Fig-6 volatility ranking.
 #pragma once
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -35,13 +38,43 @@
 
 namespace pcmsim {
 
+/// Walker/Vose alias table over Zipf ranks: P(rank k) proportional to
+/// 1/(k+1)^theta, the same pmf as common/zipf.hpp's CDF sampler. Each draw
+/// is O(1). Memory is 12 bytes per rank (a double and a 32-bit alias); while
+/// building, two work lists hold one more 32-bit index per rank. The table is
+/// immutable after construction and draw() is const, so any number of
+/// sources may share one through a shared_ptr.
+class ZipfAliasTable {
+ public:
+  ZipfAliasTable(std::uint64_t n, double theta);
+
+  [[nodiscard]] std::uint64_t size() const { return alias_.size(); }
+
+  /// One rank: a uniform slot, then a uniform coin against its probability
+  /// (two draws from `rng`, always in that order).
+  [[nodiscard]] std::uint64_t draw(Rng& rng) const {
+    const std::uint64_t i = rng.next_below(alias_.size());
+    return rng.next_double() < prob_[i] ? i : alias_[i];
+  }
+
+ private:
+  std::vector<double> prob_;
+  std::vector<std::uint32_t> alias_;
+};
+
 class SampledTraceSource final : public TraceSource {
  public:
   /// `region_lines` folds the app's working set onto the simulated PCM
-  /// region (fold_rank). Memory is O(region_lines)
-  /// for the cached per-line blocks plus O(working_set_lines) for the
-  /// alias table.
+  /// region (fold_rank). Memory is O(region_lines) for the cached per-line
+  /// blocks plus the alias table over the app's working_set_lines, which
+  /// this constructor builds for the source alone.
   SampledTraceSource(const AppProfile& app, std::uint64_t region_lines, std::uint64_t seed);
+
+  /// Same stream, drawing ranks from `table`, which may be shared with other
+  /// sources of the same app. The table must have app.working_set_lines
+  /// ranks (ContractViolation otherwise); its theta is the caller's to match.
+  SampledTraceSource(const AppProfile& app, std::uint64_t region_lines, std::uint64_t seed,
+                     std::shared_ptr<const ZipfAliasTable> table);
 
   SampledTraceSource(const SampledTraceSource&) = delete;
   SampledTraceSource& operator=(const SampledTraceSource&) = delete;
@@ -72,8 +105,6 @@ class SampledTraceSource final : public TraceSource {
     bool initialized = false;
   };
 
-  void build_alias();
-  [[nodiscard]] std::uint64_t draw_rank();
   void rebuild_base(LineAddr line, LineState& st);
   void produce(LineAddr line, WritebackEvent& ev);
 
@@ -88,10 +119,7 @@ class SampledTraceSource final : public TraceSource {
   Rng rank_rng_;
   Rng state_rng_;
   ClassAssigner classes_;
-  // Walker/Vose alias table over Zipf ranks: P(rank k) proportional to
-  // 1/(k+1)^theta, identical pmf to common/zipf.hpp's CDF sampler.
-  std::vector<double> alias_prob_;
-  std::vector<std::uint32_t> alias_;
+  std::shared_ptr<const ZipfAliasTable> ranks_;  ///< may be shared with other sources
   // Flat per-line state, indexed by folded line address.
   std::vector<LineState> states_;
   std::vector<ValueGenContext> ctx_;

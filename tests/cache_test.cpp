@@ -157,5 +157,23 @@ TEST(CmpSimulator, WritebacksCarryCompressibleValues) {
       << "zeusmp write-backs must be zero-dominated";
 }
 
+// Pins the capture stream itself: every write-back's (line, data), in order,
+// folded into one hash. Any change to the hierarchy, the core streams or the
+// store values moves it; the value was recorded before fills became lazy.
+TEST(CmpSimulator, CaptureStreamIsPinned) {
+  std::uint64_t h = 0;
+  std::uint64_t writebacks = 0;
+  CmpSimulator sim(profile_by_name("gcc"), HierarchyConfig{}, 3, [&](const Writeback& wb) {
+    ++writebacks;
+    h = mix64(h, wb.line);
+    for (std::size_t off = 0; off < kBlockBytes; off += 8) {
+      h = mix64(h, load_le<std::uint64_t>(wb.data, off));
+    }
+  });
+  sim.run(60000);
+  EXPECT_EQ(writebacks, 2014u);
+  EXPECT_EQ(h, 18086944438976021854ull);
+}
+
 }  // namespace
 }  // namespace pcmsim

@@ -14,9 +14,11 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "common/zipf.hpp"
 #include "trace/sampled_source.hpp"
 #include "trace/trace_source.hpp"
@@ -235,6 +237,63 @@ TEST(SampledTraceSource, DeterministicAcrossBatchSizesAndReset) {
     ASSERT_EQ(ea[i].data, again[i].data) << i;
   }
   EXPECT_EQ(a.events(), kEvents);
+}
+
+void expect_same_stream(const std::vector<WritebackEvent>& a,
+                        const std::vector<WritebackEvent>& b, const char* app) {
+  ASSERT_EQ(a.size(), b.size()) << app;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i].line, b[i].line) << app << " event " << i;
+    ASSERT_EQ(a[i].data, b[i].data) << app << " event " << i;
+  }
+}
+
+// A shared ZipfAliasTable is invisible in the stream: a source drawing from
+// one (even while another source draws from it too, batch by batch) emits
+// exactly the events of a source that built its own table.
+TEST(SampledTraceSource, SharedAliasTableIsInvisible) {
+  constexpr std::size_t kEvents = 6000;
+  constexpr std::uint64_t kOtherSeed = kSeed + 1;
+  for (const char* name : {"gcc", "milc", "lbm"}) {
+    const AppProfile& app = profile_by_name(name);
+    const auto table =
+        std::make_shared<const ZipfAliasTable>(app.working_set_lines, app.zipf_theta);
+
+    SampledTraceSource solo(app, kRegion, kSeed);
+    SampledTraceSource other_solo(app, kRegion / 2, kOtherSeed);
+    const auto expected = drain(solo, kEvents);
+    const auto other_expected = drain(other_solo, kEvents);
+
+    SampledTraceSource shared(app, kRegion, kSeed, table);
+    expect_same_stream(drain(shared, kEvents), expected, name);
+
+    // Two sources on one table, their batches interleaved (ragged sizes so
+    // the tiles fall differently): each still matches its solo run.
+    SampledTraceSource a(app, kRegion, kSeed, table);
+    SampledTraceSource b(app, kRegion / 2, kOtherSeed, table);
+    std::vector<WritebackEvent> ea(kEvents);
+    std::vector<WritebackEvent> eb(kEvents);
+    for (std::size_t done = 0; done < kEvents;) {
+      const std::size_t na = std::min<std::size_t>(100, kEvents - done);
+      const std::size_t nb = std::min<std::size_t>(37, na);
+      (void)a.next_batch(std::span(ea.data() + done, na));
+      (void)b.next_batch(std::span(eb.data() + done, nb));
+      (void)b.next_batch(std::span(eb.data() + done + nb, na - nb));
+      done += na;
+    }
+    expect_same_stream(ea, expected, name);
+    expect_same_stream(eb, other_expected, name);
+  }
+}
+
+TEST(SampledTraceSource, RejectsAliasTableOfTheWrongSize) {
+  for (const char* name : {"gcc", "milc", "lbm"}) {
+    const AppProfile& app = profile_by_name(name);
+    const auto half =
+        std::make_shared<const ZipfAliasTable>(app.working_set_lines / 2, app.zipf_theta);
+    EXPECT_THROW(SampledTraceSource(app, kRegion, kSeed, half), ContractViolation) << name;
+    EXPECT_THROW(SampledTraceSource(app, kRegion, kSeed, nullptr), ContractViolation) << name;
+  }
 }
 
 TEST(SampledTraceSource, CurrentValueTracksLastEvent) {
