@@ -9,7 +9,12 @@
 // exercises exactly the path every lifetime/MC experiment spends its time in
 // (compress -> heuristic -> place -> differential write), not fault handling.
 // A separate aged-array stage measures window placement at 0/8/32 stuck
-// cells per line, the regime the fault-state caches accelerate.
+// cells per line, the regime the fault-state caches accelerate, and the
+// system.write_worn stage times full writes on a small low-endurance region
+// aged until a quarter of its lines are dead — the lifetime phase where
+// lines hold near-dead cells and writes birth faults. The worn stage stays
+// out of the work checksum and runs with the stage profiler off, so both
+// keep describing the wear-free steady state.
 //
 // `--profile` adds the per-stage cycle counters (common/profiler.hpp) to the
 // JSON; `--expect_checksum N` exits non-zero when the deterministic work
@@ -66,6 +71,51 @@ double place_ns_per_find(std::size_t faults_per_line, std::uint64_t seed) {
   const auto t1 = Clock::now();
   const double ns = ns_per_op(t0, t1, kIters * cfg.lines);
   return sink == 0 ? ns + 1e-9 : ns;  // sink defeats dead-code elimination
+}
+
+/// Timed system.write on a worn region: 64 logical lines at endurance 1000
+/// are fed the corpus (cycled, line mod 64) until a quarter of them are dead
+/// or the aging budget runs out, then up to `budget` further writes are
+/// timed, stopping early should the region fail.
+struct WornStage {
+  double ns_per_write = 0;
+  std::size_t timed_writes = 0;
+  double dead_fraction = 0;  ///< when timing started
+};
+
+WornStage worn_write_ns(const std::vector<WritebackEvent>& events, std::uint64_t seed,
+                        std::size_t budget) {
+  WornStage out;
+  if (events.empty()) return out;
+  constexpr std::uint64_t kLines = 64;
+  SystemConfig cfg;
+  cfg.device.lines = kLines + 1;  // + gap line
+  cfg.device.endurance_mean = 1000;
+  cfg.device.seed = seed;
+  cfg.seed = seed;
+  PcmSystem system(cfg);
+  std::size_t next = 0;
+  auto write_next = [&] {
+    const auto& ev = events[next];
+    next = next + 1 == events.size() ? 0 : next + 1;
+    return system.write(ev.line % kLines, ev.data).flips;
+  };
+  // The budget bounds aging for corpora that cannot wear the region down
+  // (one repeated event programs nothing after its first write).
+  std::size_t sink = 0;
+  for (std::size_t aged = 0; system.dead_fraction() < 0.25 && aged < 4'000'000; ++aged) {
+    sink += write_next();
+  }
+  out.dead_fraction = system.dead_fraction();
+  const auto t0 = Clock::now();
+  while (out.timed_writes < budget && !system.failed()) {
+    sink += write_next();
+    ++out.timed_writes;
+  }
+  const auto t1 = Clock::now();
+  out.ns_per_write = out.timed_writes == 0 ? 0 : ns_per_op(t0, t1, out.timed_writes);
+  if (sink == 0) out.ns_per_write += 1e-9;  // sink defeats dead-code elimination
+  return out;
 }
 
 }  // namespace
@@ -159,6 +209,12 @@ int main(int argc, char** argv) try {
   const double place_f8 = place_ns_per_find(8, seed);
   const double place_f32 = place_ns_per_find(32, seed);
 
+  // --- Stage 5: system.write on worn lines --------------------------------
+  const bool profiling = prof::enabled();
+  prof::set_enabled(false);
+  const WornStage worn = worn_write_ns(events, seed, writes);
+  prof::set_enabled(profiling);
+
   const double write_ns = ns_per_op(w0, w1, writes);
   const std::size_t checksum = comp_bytes ^ fnw_flips ^ flips;
   std::cout << "{\n"
@@ -168,6 +224,9 @@ int main(int argc, char** argv) try {
             << "  \"fnw_encode_ns_per_op\": " << ns_per_op(f0, f1, writes) << ",\n"
             << "  \"system_write_ns_per_op\": " << write_ns << ",\n"
             << "  \"system_writes_per_sec\": " << 1e9 / write_ns << ",\n"
+            << "  \"system_write_worn_ns_per_op\": " << worn.ns_per_write << ",\n"
+            << "  \"system_write_worn_writes\": " << worn.timed_writes << ",\n"
+            << "  \"system_write_worn_dead_fraction\": " << worn.dead_fraction << ",\n"
             << "  \"place_find_ns_faults0\": " << place_f0 << ",\n"
             << "  \"place_find_ns_faults8\": " << place_f8 << ",\n"
             << "  \"place_find_ns_faults32\": " << place_f32 << ",\n"

@@ -1,12 +1,13 @@
 // Portable SIMD layer for the write-path hot kernels.
 //
-// Three backends implement the same four kernels in separate translation
+// Three backends implement the same three kernels in separate translation
 // units, selected at configure time by the PCMSIM_SIMD CMake option
 // (AUTO / AVX2 / FALLBACK / OFF -> compile definition PCMSIM_SIMD_BACKEND):
 //
 //  * scalar   (simd_scalar.cpp)   — the bit-walk reference implementation;
 //    every other backend must be bit-identical to it (tests/simd_kernel_test
-//    drives the differential checks, CI runs a forced-scalar job),
+//    drives the differential checks, CI runs the full suite forced to the
+//    scalar and to the fallback backend),
 //  * fallback (simd_fallback.cpp) — 128-bit GNU vector extensions; compiles
 //    to SSE2 on x86 and to NEON on AArch64 without any -m flags,
 //  * avx2     (simd_avx2.cpp)     — 256-bit intrinsics, x86-64 only; the TU
@@ -20,18 +21,15 @@
 //
 // Kernel contracts (identical across backends):
 //
-//  endurance_decrement64(lanes, mask)
-//    lanes[b] -= 1 for every set bit b of `mask`. Touches exactly 64 u16
-//    lanes: lanes whose mask bit is clear are rewritten with their current
-//    value (masked store), so the caller must own all 64 lanes — PcmArray
-//    pads its endurance array with 64 zeroed tail lanes for ranges ending at
-//    the last cell. No lane may underflow (the fast-path watermark >= 2
-//    invariant guarantees every masked lane is >= 1).
-//
-//  masked_min_u16(lanes, skip, words64)
-//    Minimum over `words64 * 64` u16 lanes with lanes whose `skip` bit is
-//    set saturated to 0xFFFF; returns 0xFFFF when every lane is skipped.
-//    Reads exactly words64*64 lanes and words64 mask words.
+//  endurance_decrement64(lanes, mask) -> died
+//    lanes[b] -= 1 for every set bit b of `mask`; returns the mask of those
+//    lanes that reached 0. Every masked lane must be >= 1 on entry (a live
+//    PCM cell always has endurance left), so a returned bit is exactly a
+//    cell that wears out on this pulse. Touches exactly 64 u16 lanes: lanes
+//    whose mask bit is clear are rewritten with their current value (masked
+//    store) and never show up in the result even when they hold 0, so the
+//    caller must own all 64 lanes — PcmArray pads its endurance array with
+//    64 zeroed tail lanes for ranges ending at the last cell.
 //
 //  scan_words(words8, out)
 //    The fused 64-byte block classification (compression probe): per-u32
@@ -97,26 +95,20 @@ inline constexpr std::array<std::uint8_t, 8> kFpcWordBits = {0,  3 + 4,  3 + 8, 
 /// Differential-test registry entry: one backend's kernels by pointer.
 struct KernelTable {
   const char* name;
-  void (*endurance_decrement64)(std::uint16_t* lanes, std::uint64_t mask);
-  std::uint16_t (*masked_min_u16)(const std::uint16_t* lanes, const std::uint64_t* skip,
-                                  std::size_t words64);
+  std::uint64_t (*endurance_decrement64)(std::uint16_t* lanes, std::uint64_t mask);
   void (*scan_words)(const std::uint64_t* words8, BlockScan& out);
   void (*merge_block_u32)(std::uint8_t* dst, const std::uint8_t* src, std::uint16_t mask);
 };
 
 namespace scalar {
-void endurance_decrement64(std::uint16_t* lanes, std::uint64_t mask);
-std::uint16_t masked_min_u16(const std::uint16_t* lanes, const std::uint64_t* skip,
-                             std::size_t words64);
+std::uint64_t endurance_decrement64(std::uint16_t* lanes, std::uint64_t mask);
 void scan_words(const std::uint64_t* words8, BlockScan& out);
 void merge_block_u32(std::uint8_t* dst, const std::uint8_t* src, std::uint16_t mask);
 extern const KernelTable kTable;
 }  // namespace scalar
 
 namespace fallback {
-void endurance_decrement64(std::uint16_t* lanes, std::uint64_t mask);
-std::uint16_t masked_min_u16(const std::uint16_t* lanes, const std::uint64_t* skip,
-                             std::size_t words64);
+std::uint64_t endurance_decrement64(std::uint16_t* lanes, std::uint64_t mask);
 void scan_words(const std::uint64_t* words8, BlockScan& out);
 void merge_block_u32(std::uint8_t* dst, const std::uint8_t* src, std::uint16_t mask);
 extern const KernelTable kTable;
@@ -125,9 +117,7 @@ extern const KernelTable kTable;
 #if defined(__x86_64__) || defined(__amd64__) || defined(_M_X64)
 #define PCMSIM_SIMD_HAS_AVX2 1
 namespace avx2 {
-void endurance_decrement64(std::uint16_t* lanes, std::uint64_t mask);
-std::uint16_t masked_min_u16(const std::uint16_t* lanes, const std::uint64_t* skip,
-                             std::size_t words64);
+std::uint64_t endurance_decrement64(std::uint16_t* lanes, std::uint64_t mask);
 void scan_words(const std::uint64_t* words8, BlockScan& out);
 void merge_block_u32(std::uint8_t* dst, const std::uint8_t* src, std::uint16_t mask);
 extern const KernelTable kTable;

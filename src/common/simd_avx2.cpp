@@ -69,35 +69,27 @@ std::uint32_t mask16x32(__m256i cmp_lo, __m256i cmp_hi) {
 
 }  // namespace
 
-void endurance_decrement64(std::uint16_t* lanes, std::uint64_t mask) {
+std::uint64_t endurance_decrement64(std::uint16_t* lanes, std::uint64_t mask) {
+  // Branch-free over the four 16-lane groups: a group with no mask bits adds
+  // 0 and stores its lanes back unchanged, which is cheaper than a
+  // data-dependent branch on the sparse masks differential writes produce.
+  const __m256i zero = _mm256_setzero_si256();
+  __m256i hit[4];
+  __m256i any = zero;
   for (unsigned g = 0; g < 4; ++g) {
-    const auto m16 = static_cast<unsigned>((mask >> (16 * g)) & 0xFFFFu);
-    if (m16 == 0) continue;
     auto* p = reinterpret_cast<__m256i*>(lanes + 16 * g);
-    const __m256i e = _mm256_loadu_si256(p);
+    const __m256i sel = spread16(static_cast<unsigned>((mask >> (16 * g)) & 0xFFFFu));
     // cmpeq lanes are 0xFFFF == -1: adding them is the masked decrement.
-    _mm256_storeu_si256(p, _mm256_add_epi16(e, spread16(m16)));
+    const __m256i e = _mm256_add_epi16(_mm256_loadu_si256(p), sel);
+    _mm256_storeu_si256(p, e);
+    hit[g] = _mm256_and_si256(_mm256_cmpeq_epi16(e, zero), sel);
+    any = _mm256_or_si256(any, hit[g]);
   }
-}
-
-std::uint16_t masked_min_u16(const std::uint16_t* lanes, const std::uint64_t* skip,
-                             std::size_t words64) {
-  __m256i acc = _mm256_set1_epi16(-1);  // 0xFFFF
-  for (std::size_t w = 0; w < words64; ++w) {
-    const std::uint64_t s = skip[w];
-    for (unsigned g = 0; g < 4; ++g) {
-      const __m256i v =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(lanes + w * 64 + 16 * g));
-      const auto m16 = static_cast<unsigned>((s >> (16 * g)) & 0xFFFFu);
-      // Skipped lanes saturate to 0xFFFF and never win the min.
-      acc = _mm256_min_epu16(acc, _mm256_or_si256(v, spread16(m16)));
-    }
-  }
-  const __m128i lo = _mm256_castsi256_si128(acc);
-  const __m128i hi = _mm256_extracti128_si256(acc, 1);
-  // phminposuw: horizontal unsigned u16 minimum in lane 0.
-  const __m128i min = _mm_minpos_epu16(_mm_min_epu16(lo, hi));
-  return static_cast<std::uint16_t>(_mm_extract_epi16(min, 0));
+  // Births are rare: pack the per-lane hits into a bit mask only when some
+  // masked lane reached 0.
+  if (_mm256_testz_si256(any, any)) return 0;
+  return static_cast<std::uint64_t>(mask16x32(hit[0], hit[1])) |
+         (static_cast<std::uint64_t>(mask16x32(hit[2], hit[3])) << 32);
 }
 
 void scan_words(const std::uint64_t* w, BlockScan& out) {
@@ -265,8 +257,7 @@ void merge_block_u32(std::uint8_t* dst, const std::uint8_t* src, std::uint16_t m
                                                 _mm256_loadu_si256(s + 1), sel_hi));
 }
 
-const KernelTable kTable = {"avx2", &endurance_decrement64, &masked_min_u16, &scan_words,
-                            &merge_block_u32};
+const KernelTable kTable = {"avx2", &endurance_decrement64, &scan_words, &merge_block_u32};
 
 }  // namespace avx2
 

@@ -17,6 +17,7 @@ typedef std::uint16_t v8u16 __attribute__((vector_size(16)));
 typedef std::int16_t v8s16 __attribute__((vector_size(16)));
 typedef std::uint32_t v4u32 __attribute__((vector_size(16)));
 typedef std::int32_t v4s32 __attribute__((vector_size(16)));
+typedef std::uint64_t v2u64 __attribute__((vector_size(16)));
 
 template <typename V>
 V load(const void* p) {
@@ -72,33 +73,25 @@ bool geom8_ok(const std::uint64_t* w, unsigned delta_bytes) {
 
 }  // namespace
 
-void endurance_decrement64(std::uint16_t* lanes, std::uint64_t mask) {
+std::uint64_t endurance_decrement64(std::uint16_t* lanes, std::uint64_t mask) {
+  // Branch-free over the eight 8-lane groups (an empty group adds 0), as in
+  // the AVX2 backend.
+  std::uint64_t died = 0;
   for (unsigned g = 0; g < 8; ++g) {
-    const auto m8 = static_cast<unsigned>((mask >> (8 * g)) & 0xFFu);
-    if (m8 == 0) continue;
+    const v8u16 sel = spread8(static_cast<unsigned>((mask >> (8 * g)) & 0xFFu));
     v8u16 e = load<v8u16>(lanes + 8 * g);
-    e += spread8(m8);  // 0xFFFF == -1 per masked lane
+    e += sel;  // 0xFFFF == -1 per masked lane
     store(lanes + 8 * g, e);
+    // Masked lanes that reached 0, as one bit each; births are rare, so the
+    // horizontal fold runs only when some lane hit 0.
+    const v8u16 hit = (v8u16)(e == 0) & sel & kBit16;
+    const v2u64 any = (v2u64)hit;
+    if ((any[0] | any[1]) == 0) continue;
+    unsigned bits = 0;
+    for (unsigned i = 0; i < 8; ++i) bits |= static_cast<unsigned>(hit[i]);
+    died |= static_cast<std::uint64_t>(bits) << (8 * g);
   }
-}
-
-std::uint16_t masked_min_u16(const std::uint16_t* lanes, const std::uint64_t* skip,
-                             std::size_t words64) {
-  v8u16 acc = {0xFFFF, 0xFFFF, 0xFFFF, 0xFFFF, 0xFFFF, 0xFFFF, 0xFFFF, 0xFFFF};
-  for (std::size_t w = 0; w < words64; ++w) {
-    const std::uint64_t s = skip[w];
-    for (unsigned g = 0; g < 8; ++g) {
-      v8u16 v = load<v8u16>(lanes + w * 64 + 8 * g);
-      v |= spread8(static_cast<unsigned>((s >> (8 * g)) & 0xFFu));  // skipped -> 0xFFFF
-      const v8u16 lt = (v8u16)(v < acc);
-      acc = (v & lt) | (acc & ~lt);
-    }
-  }
-  std::uint16_t min = 0xFFFF;
-  for (unsigned i = 0; i < 8; ++i) {
-    if (acc[i] < min) min = acc[i];
-  }
-  return min;
+  return died;
 }
 
 void scan_words(const std::uint64_t* w, BlockScan& out) {
@@ -228,8 +221,7 @@ void merge_block_u32(std::uint8_t* dst, const std::uint8_t* src, std::uint16_t m
   }
 }
 
-const KernelTable kTable = {"fallback", &endurance_decrement64, &masked_min_u16, &scan_words,
-                            &merge_block_u32};
+const KernelTable kTable = {"fallback", &endurance_decrement64, &scan_words, &merge_block_u32};
 
 }  // namespace fallback
 

@@ -9,27 +9,14 @@ namespace pcmsim::simd {
 
 namespace scalar {
 
-void endurance_decrement64(std::uint16_t* lanes, std::uint64_t mask) {
+std::uint64_t endurance_decrement64(std::uint16_t* lanes, std::uint64_t mask) {
+  std::uint64_t died = 0;
   while (mask != 0) {
     const unsigned b = static_cast<unsigned>(std::countr_zero(mask));
     mask &= mask - 1;
-    --lanes[b];
+    if (--lanes[b] == 0) died |= 1ull << b;
   }
-}
-
-std::uint16_t masked_min_u16(const std::uint16_t* lanes, const std::uint64_t* skip,
-                             std::size_t words64) {
-  std::uint16_t min = 0xFFFF;
-  for (std::size_t w = 0; w < words64; ++w) {
-    std::uint64_t live = ~skip[w];
-    while (live != 0) {
-      const unsigned b = static_cast<unsigned>(std::countr_zero(live));
-      live &= live - 1;
-      const std::uint16_t v = lanes[w * 64 + b];
-      if (v < min) min = v;
-    }
-  }
-  return min;
+  return died;
 }
 
 namespace {
@@ -141,8 +128,7 @@ void merge_block_u32(std::uint8_t* dst, const std::uint8_t* src, std::uint16_t m
   }
 }
 
-const KernelTable kTable = {"scalar", &endurance_decrement64, &masked_min_u16, &scan_words,
-                            &merge_block_u32};
+const KernelTable kTable = {"scalar", &endurance_decrement64, &scan_words, &merge_block_u32};
 
 }  // namespace scalar
 

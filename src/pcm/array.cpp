@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "common/assert.hpp"
@@ -23,14 +24,21 @@ std::uint64_t extract64(const std::vector<std::uint64_t>& words, std::size_t pos
 }
 
 /// Loads up to 64 bits (LSB-first packed) from a byte buffer at bit offset `pos`.
+/// Bytes past the end of `data` read as zero.
 std::uint64_t load_bits64(std::span<const std::uint8_t> data, std::size_t pos, unsigned n) {
   std::uint64_t v = 0;
   const std::size_t first_byte = pos / 8;
   const unsigned sh = static_cast<unsigned>(pos % 8);
   // Read enough bytes to cover n bits after the shift.
   const std::size_t need = (sh + n + 7) / 8;
-  for (std::size_t i = 0; i < need && first_byte + i < data.size(); ++i) {
-    v |= static_cast<std::uint64_t>(data[first_byte + i]) << (8 * i);
+  if (std::endian::native == std::endian::little && need <= 8 && first_byte + 8 <= data.size()) {
+    // One word load: on a little-endian host byte i lands in bits 8i..8i+7,
+    // exactly the LSB-first packing the byte loop below builds.
+    std::memcpy(&v, data.data() + first_byte, 8);
+  } else {
+    for (std::size_t i = 0; i < need && first_byte + i < data.size(); ++i) {
+      v |= static_cast<std::uint64_t>(data[first_byte + i]) << (8 * i);
+    }
   }
   v >>= sh;
   if (n < 64) v &= (n == 0) ? 0 : ((~0ull) >> (64 - n));
@@ -55,8 +63,9 @@ PcmArray::PcmArray(const PcmDeviceConfig& config) : config_(config), rng_(config
   stuck_.assign(cells / 64, 0);
   // 64 zeroed tail lanes beyond the last cell: the 64-lane masked-decrement
   // kernel loads and rewrites whole lane groups, so a write ending at the
-  // array's final cell may touch (but never change) lanes past it. Sampling
-  // stops at `cells` so the RNG stream is identical to the unpadded layout.
+  // array's final cell may touch (but never change, nor report as worn out)
+  // lanes past it. Sampling stops at `cells` so the RNG stream is identical
+  // to the unpadded layout.
   endurance_.resize(cells + 64);
   for (std::size_t i = 0; i < cells; ++i) {
     const double sample = rng_.next_lognormal_mean_cov(config.endurance_mean,
@@ -66,19 +75,11 @@ PcmArray::PcmArray(const PcmDeviceConfig& config) : config_(config), rng_(config
     endurance_[i] = static_cast<std::uint16_t>(clamped);
   }
 
-  // No stuck cells yet, so each line's watermark is simply the minimum
-  // sampled endurance over its data area.
-  watermark_.assign(config.lines, 0);
   data_stuck_.assign(config.lines, 0);
   prefix_valid_.assign(config.lines, 0);
   // Eager (~130 B/line): building it lazily would put one allocation on the
   // steady-state write path, which tests/alloc_regression_test.cpp forbids.
   prefix_.assign(config.lines * (kBlockBytes + 1), 0);
-  for (std::size_t line = 0; line < config.lines; ++line) {
-    const std::size_t base = line * kLineTotalBits;
-    watermark_[line] = simd::active::masked_min_u16(endurance_.data() + base,
-                                                    stuck_.data() + base / 64, kBlockBits / 64);
-  }
 }
 
 std::size_t PcmArray::cell_index(std::size_t line, std::size_t bit) const {
@@ -133,120 +134,61 @@ PcmWriteResult PcmArray::write_range(std::size_t line, std::size_t bit_off,
   PcmWriteResult result;
   const std::size_t base = cell_index(line, bit_off);
 
-  // Fast path: the watermark proves every non-stuck data cell survives one
-  // more pulse, so no fault can be born — value updates collapse to one
-  // masked XOR store per word, pulse tallies to popcounts, and the endurance
-  // scatter-update to a tight countr_zero loop with no branches and no RNG.
-  // Each cell in the range is programmed at most once, so the line minimum
-  // drops by at most 1: decrementing the watermark keeps it a lower bound.
-  // Ranges touching the ECC-chip area (tests only) take the per-bit path:
-  // the watermark only covers the data area.
-  if (bit_off + nbits <= kBlockBits && watermark_[line] >= 2) {
-    // The per-line stuck count (maintained at fault birth) lets the common
-    // fault-free line skip the stuck-mask extraction and mismatch tally.
-    const bool line_has_stuck = data_stuck_[line] != 0;
-    bool programmed_any = false;
-    std::size_t i = 0;
-    while (i < nbits) {
-      const unsigned chunk = static_cast<unsigned>(std::min<std::size_t>(64, nbits - i));
-      const std::uint64_t mask = chunk == 64 ? ~0ull : ((~0ull) >> (64 - chunk));
-      const std::uint64_t want = load_bits64(data, i, chunk);
-      const std::size_t pos = base + i;
-      const std::uint64_t stored = extract64(values_, pos) & mask;
-      const std::uint64_t stuckm = line_has_stuck ? extract64(stuck_, pos) & mask : 0;
-      const std::uint64_t diff = (stored ^ want) & mask;
-
-      result.mismatched_bits += static_cast<std::size_t>(std::popcount(diff & stuckm));
-
-      const std::uint64_t program = diff & ~stuckm;  // differential write: flip these
-      if (program != 0) {
-        programmed_any = true;
-        const auto nprog = static_cast<std::size_t>(std::popcount(program));
-        const auto nset = static_cast<std::size_t>(std::popcount(want & program));
-        result.programmed_bits += nprog;
-        total_programmed_ += nprog;
-        total_set_ += nset;
-        total_reset_ += nprog - nset;
-
-        const std::size_t w = pos / 64;
-        const unsigned sh = static_cast<unsigned>(pos % 64);
-        values_[w] ^= program << sh;
-        if (sh != 0 && (program >> (64 - sh)) != 0) values_[w + 1] ^= program >> (64 - sh);
-
-        // Masked u16 lane decrement over the contiguous endurance lanes —
-        // the vector counterpart of the per-set-bit countr_zero walk.
-        simd::active::endurance_decrement64(endurance_.data() + pos, program);
-      }
-      i += chunk;
-    }
-    if (programmed_any) --watermark_[line];
-    return result;
-  }
-
-  write_range_slow(line, base, bit_off, data, nbits, result);
-  // Fault births may have removed the minimum cell from the non-stuck set;
-  // recompute the watermark exactly so the line re-arms the fast path.
-  rebuild_watermark(line);
-  return result;
-}
-
-void PcmArray::write_range_slow(std::size_t line, std::size_t base, std::size_t bit_off,
-                                std::span<const std::uint8_t> data, std::size_t nbits,
-                                PcmWriteResult& result) {
+  // One word-level kernel for every range: value updates are one masked XOR
+  // store per word, pulse tallies are popcounts, and the endurance update is
+  // a masked u16 lane decrement that also reports which programmed cells hit
+  // 0 — exactly the cells that wear out on this pulse, since a live cell
+  // always has endurance >= 1. The per-bit work (and the RNG) runs only at
+  // those births, in ascending bit order, the definitional model's order.
+  // The per-line stuck count lets a fault-free line skip the stuck-mask
+  // extraction; it covers the data area only, so ranges reaching into the
+  // ECC-chip area always extract the mask.
+  const bool may_hit_stuck = data_stuck_[line] != 0 || bit_off + nbits > kBlockBits;
   std::size_t i = 0;
   while (i < nbits) {
     const unsigned chunk = static_cast<unsigned>(std::min<std::size_t>(64, nbits - i));
     const std::uint64_t mask = chunk == 64 ? ~0ull : ((~0ull) >> (64 - chunk));
     const std::uint64_t want = load_bits64(data, i, chunk);
-    const std::uint64_t stored = extract64(values_, base + i) & mask;
-    const std::uint64_t stuckm = extract64(stuck_, base + i) & mask;
+    const std::size_t pos = base + i;
+    const std::uint64_t stored = extract64(values_, pos) & mask;
+    const std::uint64_t stuckm = may_hit_stuck ? extract64(stuck_, pos) & mask : 0;
     const std::uint64_t diff = (stored ^ want) & mask;
 
     result.mismatched_bits += static_cast<std::size_t>(std::popcount(diff & stuckm));
 
-    std::uint64_t program = diff & ~stuckm;  // differential write: flip these
-    while (program != 0) {
-      const unsigned b = static_cast<unsigned>(std::countr_zero(program));
-      program &= program - 1;
-      const std::size_t idx = base + i + b;
-      ++result.programmed_bits;
-      ++total_programmed_;
-      if ((want >> b) & 1u) {
-        ++total_set_;
-      } else {
-        ++total_reset_;
+    const std::uint64_t program = diff & ~stuckm;  // differential write: flip these
+    if (program != 0) {
+      const auto nprog = static_cast<std::size_t>(std::popcount(program));
+      const auto nset = static_cast<std::size_t>(std::popcount(want & program));
+      result.programmed_bits += nprog;
+      total_programmed_ += nprog;
+      total_set_ += nset;
+      total_reset_ += nprog - nset;
+
+      const std::uint64_t died =
+          simd::active::endurance_decrement64(endurance_.data() + pos, program);
+      const std::uint64_t flip = program & ~died;
+      const std::size_t w = pos / 64;
+      const unsigned sh = static_cast<unsigned>(pos % 64);
+      values_[w] ^= flip << sh;
+      if (sh != 0 && (flip >> (64 - sh)) != 0) values_[w + 1] ^= flip >> (64 - sh);
+
+      for (std::uint64_t d = died; d != 0; d &= d - 1) {
+        // The cell wears out on this pulse and latches a stuck value.
+        // Stuck-at-RESET (heater detach) latches 0; stuck-at-SET latches 1.
+        const unsigned b = static_cast<unsigned>(std::countr_zero(d));
+        set_stuck(pos + b);
+        ++result.new_faults;
+        ++total_faults_;
+        on_fault_born(line, bit_off + i + b);
+        const bool stuck_value = !rng_.next_bool(config_.stuck_at_reset_fraction);
+        set_value(pos + b, stuck_value);
+        if (stuck_value != ((want >> b) & 1u)) ++result.mismatched_bits;
       }
-      auto& remaining = endurance_[idx];
-      if (remaining > 1) {
-        --remaining;
-        set_value(idx, (want >> b) & 1u);
-        continue;
-      }
-      // Cell wears out on this pulse and latches a stuck value. Stuck-at-RESET
-      // (heater detach) latches 0; stuck-at-SET latches 1.
-      remaining = 0;
-      set_stuck(idx);
-      ++result.new_faults;
-      ++total_faults_;
-      on_fault_born(line, bit_off + i + b);
-      const bool stuck_value = !rng_.next_bool(config_.stuck_at_reset_fraction);
-      set_value(idx, stuck_value);
-      if (stuck_value != ((want >> b) & 1u)) ++result.mismatched_bits;
     }
     i += chunk;
   }
-}
-
-void PcmArray::rebuild_watermark(std::size_t line) {
-  const std::size_t word0 = line * kLineTotalBits / 64;
-  bool any_live = false;
-  for (std::size_t w = 0; w < kBlockBits / 64; ++w) any_live |= ~stuck_[word0 + w] != 0;
-  // Masked u16 min-reduce with stuck lanes saturated to 0xFFFF; a fully
-  // stuck data area has no live minimum and disarms the fast path with 0.
-  watermark_[line] = any_live ? simd::active::masked_min_u16(endurance_.data() + word0 * 64,
-                                                             stuck_.data() + word0,
-                                                             kBlockBits / 64)
-                              : 0;
+  return result;
 }
 
 void PcmArray::on_fault_born(std::size_t line, std::size_t bit) {
@@ -336,8 +278,6 @@ void PcmArray::inject_fault(std::size_t line, std::size_t bit, bool stuck_value)
     on_fault_born(line, bit);
   }
   endurance_[idx] = 0;
-  // The cell leaves the watermark's non-stuck set, so the existing lower
-  // bound stays valid; zeroing its endurance must not drag the bound down.
   set_value(idx, stuck_value);
 }
 

@@ -12,17 +12,16 @@
 // remaining endurance in uint16 (sufficient for the scaled endurance used in
 // lifetime studies; construction rejects configurations that would overflow).
 //
-// The write kernel is word-level: value updates are one masked XOR store per
-// 64-bit word, SET/RESET pulses are tallied with popcounts, and the
-// endurance scatter-update and watermark min-scan run as masked u16 lane
-// kernels from common/simd.hpp (the endurance array carries 64 zeroed tail
-// lanes so those kernels never read past the allocation). A per-line
-// *fault-free watermark* — a lower bound on the remaining endurance of every
-// non-stuck data-area cell — proves, for the common case, that no cell can
-// wear out during the write, so the fast path never branches per bit and
-// never touches the RNG (draws happen only at fault birth, which keeps the
-// fast path bit-identical to the definitional per-bit model by construction).
-// See EXPERIMENTS.md "Write-path performance" for the invariant and the
+// The write kernel is word-level and exact: value updates are one masked XOR
+// store per 64-bit word, SET/RESET pulses are tallied with popcounts, and the
+// endurance update is a masked u16 lane decrement from common/simd.hpp that
+// also returns the programmed lanes that reached 0 (the endurance array
+// carries 64 zeroed tail lanes so the kernel never reads past the
+// allocation). Since a live cell always has endurance >= 1, those lanes are
+// exactly the cells that wear out on this write; per-bit work and RNG draws
+// happen only at those births, in ascending bit order, which keeps every
+// write bit-identical to the definitional per-bit model by construction.
+// See EXPERIMENTS.md "Write-path performance" for the argument and the
 // bit-identity verification procedure.
 #pragma once
 
@@ -99,13 +98,6 @@ class PcmArray {
   /// fault set changes (fault birth or inject_fault).
   [[nodiscard]] std::span<const std::uint16_t> byte_stuck_prefix(std::size_t line) const;
 
-  /// Fast-path wear invariant (test introspection): a lower bound on the
-  /// remaining endurance of every non-stuck cell in the line's data area.
-  /// While it is >= 2 a differential write cannot wear out any cell.
-  [[nodiscard]] std::uint32_t endurance_watermark(std::size_t line) const {
-    return watermark_[line];
-  }
-
   /// Total programming pulses issued to this array since construction.
   [[nodiscard]] std::uint64_t total_programmed_bits() const { return total_programmed_; }
   /// Total cells that have worn out since construction.
@@ -130,16 +122,6 @@ class PcmArray {
   [[nodiscard]] bool get_stuck(std::size_t idx) const;
   void set_stuck(std::size_t idx);
 
-  /// Definitional per-bit write used whenever the watermark cannot prove the
-  /// range wear-out-free; the only path that births faults (and draws RNG).
-  void write_range_slow(std::size_t line, std::size_t base, std::size_t bit_off,
-                        std::span<const std::uint8_t> data, std::size_t nbits,
-                        PcmWriteResult& result);
-
-  /// Recomputes the exact minimum remaining endurance over the line's
-  /// non-stuck data cells (0 when every data cell is stuck).
-  void rebuild_watermark(std::size_t line);
-
   /// Cache maintenance at fault birth (write wear-out or inject_fault).
   void on_fault_born(std::size_t line, std::size_t bit);
 
@@ -147,7 +129,6 @@ class PcmArray {
   std::vector<std::uint64_t> values_;
   std::vector<std::uint64_t> stuck_;
   std::vector<std::uint16_t> endurance_;  ///< cells + 64 zeroed tail lanes (SIMD slack)
-  std::vector<std::uint16_t> watermark_;    ///< per line, see endurance_watermark()
   std::vector<std::uint16_t> data_stuck_;   ///< per line, exact data-area count
   mutable std::vector<std::uint16_t> prefix_;        ///< lazy, lines x (kBlockBytes+1)
   mutable std::vector<std::uint8_t> prefix_valid_;   ///< per line

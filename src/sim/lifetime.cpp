@@ -21,6 +21,7 @@ namespace {
 /// one-at-a-time.
 LifetimeResult run_lifetime_on(PcmSystem& system, TraceSource& source,
                                const LifetimeConfig& config) {
+  expects(config.check_interval > 0, "lifetime check_interval must be positive");
   const std::uint64_t logical_lines = system.logical_lines();
   std::array<WritebackEvent, 256> batch;
 

@@ -53,15 +53,25 @@ StartGap::StartGap(std::uint64_t logical_lines, std::uint64_t gap_interval, bool
     : n_(logical_lines), interval_(gap_interval), gap_(logical_lines) {
   expects(logical_lines > 0, "StartGap needs at least one line");
   expects(gap_interval > 0, "gap interval must be positive");
-  if (randomize) randomizer_.emplace(logical_lines, seed);
+  if (randomize) {
+    expects(logical_lines <= (std::uint64_t{1} << 32),
+            "StartGap randomization tables at most 2^32 lines");
+    const StaticRandomizer randomizer(logical_lines, seed);
+    table_.resize(logical_lines);
+    for (std::uint64_t la = 0; la < logical_lines; ++la) {
+      table_[la] = static_cast<std::uint32_t>(randomizer.map(la));
+    }
+  }
 }
 
 std::uint64_t StartGap::map(std::uint64_t logical) const {
   expects(logical < n_, "logical line out of range");
-  const std::uint64_t la = randomizer_ ? randomizer_->map(logical) : logical;
+  const std::uint64_t la = table_.empty() ? logical : table_[logical];
   // Qureshi's formulation: rotate over the N *logical* slots, then skip the
   // gap with a non-wrapping +1 (PA ranges over [0, N] = all physical slots).
-  std::uint64_t pa = (la + start_) % n_;
+  // Both la and start_ are < n_, so the mod is one conditional subtract.
+  std::uint64_t pa = la + start_;
+  if (pa >= n_) pa -= n_;
   if (pa >= gap_) pa += 1;
   return pa;
 }

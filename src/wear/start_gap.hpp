@@ -9,11 +9,14 @@
 //
 // An optional static randomization layer (4-round Feistel network with
 // cycle-walking) decorrelates logically-adjacent hot lines first, as the
-// Start-Gap paper recommends for adversarial/clustered write patterns.
+// Start-Gap paper recommends for adversarial/clustered write patterns. The
+// permutation is static, so StartGap tables it once at construction and
+// map() is one load plus the rotate-and-skip arithmetic.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "common/rng.hpp"
 
@@ -66,7 +69,7 @@ class StartGap {
  private:
   std::uint64_t n_;
   std::uint64_t interval_;
-  std::optional<StaticRandomizer> randomizer_;
+  std::vector<std::uint32_t> table_;  ///< logical -> randomized slot; empty: identity
   std::uint64_t start_ = 0;
   std::uint64_t gap_;
   std::uint64_t writes_since_move_ = 0;

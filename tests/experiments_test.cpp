@@ -59,6 +59,16 @@ TEST(Lifetime, FinalFailureCheckCatchesDeathAtWriteCap) {
   EXPECT_TRUE(second.reached_failure);
 }
 
+TEST(Lifetime, ZeroCheckIntervalIsAContractViolation) {
+  // The failure poll runs `offered % check_interval`; an interval of 0 must
+  // be a typed error, not an integer division by zero.
+  LifetimeConfig lc;
+  lc.system.device.lines = 96;
+  lc.system.device.endurance_mean = 60;
+  lc.check_interval = 0;
+  EXPECT_THROW((void)run_lifetime(profile_by_name("milc"), lc, 11), ContractViolation);
+}
+
 TEST(Experiments, MatrixIsDeterministicForFixedSeed) {
   ExperimentScale tiny;
   tiny.endurance_mean = 60;

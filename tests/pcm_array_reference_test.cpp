@@ -6,7 +6,8 @@
 // array uses (draws happen only at fault birth, ascending bit order within a
 // write), so after any operation sequence the two must agree on every value,
 // stuck flag, endurance counter, result field, and global tally — bit for
-// bit. Any divergence means the fast path's watermark proof or its masked
+// bit. Any divergence means the kernel's wear-out detection (the died mask
+// the endurance decrement returns), its birth order, or its masked
 // XOR/popcount algebra is wrong.
 #include "pcm/array.hpp"
 
@@ -128,23 +129,12 @@ void expect_same_state(const PcmArray& real, const ReferenceArray& ref, std::siz
   EXPECT_EQ(real.total_reset_pulses(), ref.total_reset_pulses());
 }
 
-/// The watermark must never exceed the endurance of any live data cell (it is
-/// a lower bound; vacuously fine when the line has no live data cells).
-void expect_watermark_invariant(const PcmArray& real, std::size_t lines) {
-  for (std::size_t line = 0; line < lines; ++line) {
-    const std::uint32_t wm = real.endurance_watermark(line);
-    for (std::size_t bit = 0; bit < kBlockBits; ++bit) {
-      if (real.is_stuck(line, bit)) continue;
-      ASSERT_LE(wm, real.remaining_endurance(line, bit))
-          << "watermark above live-cell endurance at line " << line << " bit " << bit;
-    }
-  }
-}
-
 /// Drives both models through an identical randomized operation sequence and
 /// checks agreement after every operation, full state periodically.
+/// With `suffix_ranges`, a fifth of the writes cover [random, line end), so
+/// ranges that end at the array's last cell (on the last line) recur.
 void run_differential(const PcmDeviceConfig& cfg, std::size_t ops, bool with_injects,
-                      std::uint64_t driver_seed) {
+                      std::uint64_t driver_seed, bool suffix_ranges = false) {
   PcmArray real(cfg);
   ReferenceArray ref(cfg);
   expect_same_state(real, ref, cfg.lines);
@@ -159,17 +149,21 @@ void run_differential(const PcmDeviceConfig& cfg, std::size_t ops, bool with_inj
       real.inject_fault(line, bit, v);
       ref.inject_fault(line, bit, v);
     } else {
-      // Mix of range shapes: aligned full-block (the fast path's steady
-      // state), arbitrary unaligned, and full-line including the ECC area
-      // (always the slow path).
+      // Mix of range shapes: aligned full-block (the write path's steady
+      // state), arbitrary unaligned, full-line including the ECC area, and
+      // optionally suffixes ending at the line's last cell.
       std::size_t bit_off = 0;
       std::size_t nbits = 0;
-      switch (driver.next_below(4)) {
+      switch (driver.next_below(suffix_ranges ? 5 : 4)) {
         case 0:
           nbits = kBlockBits;
           break;
         case 1:
           nbits = kLineTotalBits;
+          break;
+        case 4:
+          bit_off = driver.next_below(kLineTotalBits);
+          nbits = kLineTotalBits - bit_off;
           break;
         default:
           bit_off = driver.next_below(kLineTotalBits);
@@ -185,18 +179,14 @@ void run_differential(const PcmDeviceConfig& cfg, std::size_t ops, bool with_inj
     }
     EXPECT_EQ(real.total_programmed_bits(), ref.total_programmed_bits()) << "op " << op;
     EXPECT_EQ(real.total_faults(), ref.total_faults()) << "op " << op;
-    if (op % 64 == 0) {
-      expect_same_state(real, ref, cfg.lines);
-      expect_watermark_invariant(real, cfg.lines);
-    }
+    if (op % 64 == 0) expect_same_state(real, ref, cfg.lines);
   }
   expect_same_state(real, ref, cfg.lines);
-  expect_watermark_invariant(real, cfg.lines);
 }
 
 TEST(PcmArrayReference, FaultFreeFastPathIsBitIdentical) {
-  // Endurance far above the write count: every data-area write takes the
-  // watermark fast path, and the models must still agree cell for cell.
+  // Endurance far above the write count: no cell wears out, and the models
+  // must still agree cell for cell.
   PcmDeviceConfig cfg;
   cfg.lines = 4;
   cfg.endurance_mean = 5000;
@@ -206,9 +196,8 @@ TEST(PcmArrayReference, FaultFreeFastPathIsBitIdentical) {
 }
 
 TEST(PcmArrayReference, WearOutAndFaultBirthMatchDefinitionalModel) {
-  // Endurance low enough that cells wear out mid-run: exercises the slow
-  // path, fault births (and their RNG draw order), and the watermark rebuild
-  // that re-arms the fast path between births.
+  // Endurance low enough that cells wear out mid-run: exercises fault
+  // births and their RNG draw order.
   PcmDeviceConfig cfg;
   cfg.lines = 6;
   cfg.endurance_mean = 40;
@@ -218,9 +207,9 @@ TEST(PcmArrayReference, WearOutAndFaultBirthMatchDefinitionalModel) {
 }
 
 TEST(PcmArrayReference, InjectedFaultsInterleavedWithWrites) {
-  // inject_fault invalidates the placement caches and removes cells from the
-  // watermark's live set without a rebuild; interleaving it with wear-out
-  // writes must keep both models and the invariant in lockstep.
+  // inject_fault invalidates the placement caches and zeroes a cell's
+  // endurance outside the write kernel; interleaving it with wear-out writes
+  // must keep both models in lockstep.
   PcmDeviceConfig cfg;
   cfg.lines = 5;
   cfg.endurance_mean = 60;
@@ -229,24 +218,52 @@ TEST(PcmArrayReference, InjectedFaultsInterleavedWithWrites) {
   run_differential(cfg, 2000, /*with_injects=*/true, /*driver_seed=*/303);
 }
 
-TEST(PcmArrayReference, WatermarkDecrementsOnFastPathWrites) {
+TEST(PcmArrayReference, NearDeadCellsMatchDefinitionalModel) {
+  // Every cell starts with endurance 2, so most pulses kill a cell: many
+  // births per 64-bit chunk, full-line ranges reaching the ECC area, and
+  // suffix ranges ending at the array's last cell, all under random data.
   PcmDeviceConfig cfg;
-  cfg.lines = 1;
-  cfg.endurance_mean = 1000;
+  cfg.lines = 24;
+  cfg.endurance_mean = 2;
   cfg.endurance_cov = 0.0;
-  cfg.seed = 3;
-  PcmArray a(cfg);
-  const std::uint32_t wm0 = a.endurance_watermark(0);
-  ASSERT_GE(wm0, 2u);
-  std::vector<std::uint8_t> ones(kBlockBytes, 0xFF);
-  std::vector<std::uint8_t> zeros(kBlockBytes, 0x00);
-  a.write_range(0, 0, ones, kBlockBits);
-  EXPECT_EQ(a.endurance_watermark(0), wm0 - 1);
-  // A write that programs nothing must not burn watermark headroom.
-  a.write_range(0, 0, ones, kBlockBits);
-  EXPECT_EQ(a.endurance_watermark(0), wm0 - 1);
-  a.write_range(0, 0, zeros, kBlockBits);
-  EXPECT_EQ(a.endurance_watermark(0), wm0 - 2);
+  cfg.seed = 31;
+  run_differential(cfg, 1500, /*with_injects=*/false, /*driver_seed=*/404,
+                   /*suffix_ranges=*/true);
+  run_differential(cfg, 1500, /*with_injects=*/true, /*driver_seed=*/505,
+                   /*suffix_ranges=*/true);
+}
+
+TEST(PcmArrayReference, WholeLineWearsOutInOneWrite) {
+  // Endurance 2 everywhere: the first full-line write (all ones) leaves
+  // every cell at 1, the second (all zeros) kills all 576 of them at once —
+  // 64 births in every chunk, the ECC area and the array's last cell
+  // included — and the RNG draws must follow ascending bit order.
+  PcmDeviceConfig cfg;
+  cfg.lines = 3;
+  cfg.endurance_mean = 2;
+  cfg.endurance_cov = 0.0;
+  cfg.seed = 9;
+  PcmArray real(cfg);
+  ReferenceArray ref(cfg);
+  const std::vector<std::uint8_t> ones(kLineTotalBits / 8, 0xFF);
+  const std::vector<std::uint8_t> zeros(kLineTotalBits / 8, 0x00);
+  const std::size_t last = cfg.lines - 1;
+  for (const auto* data : {&ones, &zeros}) {
+    const PcmWriteResult r_real = real.write_range(last, 0, *data, kLineTotalBits);
+    const PcmWriteResult r_ref = ref.write_range(last, 0, *data, kLineTotalBits);
+    EXPECT_EQ(r_real.programmed_bits, r_ref.programmed_bits);
+    EXPECT_EQ(r_real.new_faults, r_ref.new_faults);
+    EXPECT_EQ(r_real.mismatched_bits, r_ref.mismatched_bits);
+    expect_same_state(real, ref, cfg.lines);
+  }
+  EXPECT_EQ(real.total_faults(), kLineTotalBits);
+  EXPECT_TRUE(real.is_stuck(last, kLineTotalBits - 1));
+  EXPECT_EQ(real.data_stuck_count(last), kBlockBits);
+  // A fully stuck line programs nothing; every difference is a mismatch.
+  const PcmWriteResult r = real.write_range(last, 0, ones, kLineTotalBits);
+  EXPECT_EQ(r.programmed_bits, 0u);
+  EXPECT_EQ(r.new_faults, 0u);
+  EXPECT_EQ(r.mismatched_bits, ref.write_range(last, 0, ones, kLineTotalBits).mismatched_bits);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Differential tests for the portable SIMD layer (common/simd.hpp): every
 // compiled backend must be bit-identical to the scalar reference on the
-// endurance decrement, watermark min-reduce, fused block scan, and masked
+// endurance decrement (lanes and wear-out mask), fused block scan, and masked
 // block merge kernels — over randomized inputs, adversarial lane patterns
 // (sign boundaries, bit 63/64 straddles, sub-word masks), and the value-model
 // corpus. The scan kernel is additionally checked against the compression
@@ -128,9 +128,70 @@ TEST(SimdKernel, EnduranceDecrementRandomMasks) {
         case 4: mask = 0x8000000000000001ull; break;     // lanes 0 and 63
       }
       const std::size_t off = rng.next_below(64);  // arbitrary lane alignment
-      simd::scalar::endurance_decrement64(want.data() + off, mask);
-      kt->endurance_decrement64(got.data() + off, mask);
+      const std::uint64_t want_died = simd::scalar::endurance_decrement64(want.data() + off, mask);
+      const std::uint64_t got_died = kt->endurance_decrement64(got.data() + off, mask);
       ASSERT_EQ(got, want) << kt->name << " iter " << iter;
+      ASSERT_EQ(got_died, want_died) << kt->name << " iter " << iter;
+    }
+  }
+}
+
+/// The died mask by definition: the masked lanes that held 1 before the pulse.
+std::uint64_t lanes_at_one(const std::vector<std::uint16_t>& lanes, std::size_t off,
+                           std::uint64_t mask) {
+  std::uint64_t ones = 0;
+  for (unsigned b = 0; b < 64; ++b) {
+    if (lanes[off + b] == 1) ones |= 1ull << b;
+  }
+  return ones & mask;
+}
+
+TEST(SimdKernel, EnduranceDecrementReportsExactlyTheCellsThatWearOut) {
+  // Near-dead lanes (1..4) so most pulses kill a cell, with masks dense,
+  // sparse and empty: the died mask must equal the definition and the
+  // scalar reference on every backend.
+  Rng rng(0xD1EDu);
+  for (const auto* kt : backends()) {
+    for (int iter = 0; iter < 4000; ++iter) {
+      std::vector<std::uint16_t> got(128, 0);
+      for (auto& v : got) v = static_cast<std::uint16_t>(1 + rng.next_below(4));
+      std::vector<std::uint16_t> want = got;
+      std::uint64_t mask = 0;
+      switch (iter % 4) {
+        case 0: mask = rng(); break;
+        case 1: mask = rng() & rng() & rng(); break;  // sparse
+        case 2: mask = rng() | rng(); break;          // dense
+        case 3: mask = 0; break;
+      }
+      const std::size_t off = rng.next_below(64);
+      const std::uint64_t expected = lanes_at_one(got, off, mask);
+      const std::uint64_t want_died = simd::scalar::endurance_decrement64(want.data() + off, mask);
+      const std::uint64_t got_died = kt->endurance_decrement64(got.data() + off, mask);
+      ASSERT_EQ(want_died, expected) << "scalar iter " << iter;
+      ASSERT_EQ(got_died, expected) << kt->name << " iter " << iter;
+      ASSERT_EQ(got, want) << kt->name << " iter " << iter;
+    }
+  }
+}
+
+TEST(SimdKernel, EnduranceDecrementNeverReportsUnmaskedZeroLanes) {
+  // A write ending at the array's last cell: only the first `live` lanes are
+  // cells, the rest are the zeroed tail lanes PcmArray pads with (and stuck
+  // cells also hold 0). Those lanes are never programmed, so they must never
+  // show up as died and must keep their value.
+  Rng rng(0x7A11u);
+  for (const auto* kt : backends()) {
+    for (unsigned live = 0; live <= 64; ++live) {
+      std::vector<std::uint16_t> lanes(128, 0);
+      for (unsigned b = 0; b < live; ++b) {
+        lanes[b] = static_cast<std::uint16_t>(1 + rng.next_below(3));
+      }
+      const std::uint64_t cells = live == 64 ? ~0ull : (1ull << live) - 1;
+      const std::uint64_t mask = rng() & cells;
+      const std::uint64_t expected = lanes_at_one(lanes, 0, mask);
+      const std::uint64_t died = kt->endurance_decrement64(lanes.data(), mask);
+      ASSERT_EQ(died, expected) << kt->name << " live " << live;
+      for (unsigned b = live; b < 128; ++b) ASSERT_EQ(lanes[b], 0) << kt->name << " lane " << b;
     }
   }
 }
@@ -138,49 +199,8 @@ TEST(SimdKernel, EnduranceDecrementRandomMasks) {
 TEST(SimdKernel, EnduranceDecrementZeroMaskTouchesNothing) {
   for (const auto* kt : backends()) {
     std::vector<std::uint16_t> lanes(128, 7);
-    kt->endurance_decrement64(lanes.data(), 0);
+    EXPECT_EQ(kt->endurance_decrement64(lanes.data(), 0), 0u) << kt->name;
     for (const auto v : lanes) ASSERT_EQ(v, 7) << kt->name;
-  }
-}
-
-TEST(SimdKernel, MaskedMinRandom) {
-  Rng rng(0x317Bu);
-  for (const auto* kt : backends()) {
-    for (int iter = 0; iter < 2000; ++iter) {
-      const std::size_t words = 1 + rng.next_below(8);
-      std::vector<std::uint16_t> lanes(words * 64);
-      for (auto& v : lanes) v = static_cast<std::uint16_t>(rng.next_below(0x10000));
-      std::vector<std::uint64_t> skip(words);
-      for (auto& s : skip) {
-        switch (iter % 4) {
-          case 0: s = rng(); break;
-          case 1: s = 0; break;
-          case 2: s = ~0ull; break;          // fully skipped word
-          case 3: s = rng() | rng(); break;  // dense skip
-        }
-      }
-      const std::uint16_t want = simd::scalar::masked_min_u16(lanes.data(), skip.data(), words);
-      const std::uint16_t got = kt->masked_min_u16(lanes.data(), skip.data(), words);
-      ASSERT_EQ(got, want) << kt->name << " iter " << iter;
-    }
-  }
-}
-
-TEST(SimdKernel, MaskedMinBoundaryLanes) {
-  for (const auto* kt : backends()) {
-    std::vector<std::uint16_t> lanes(512, 0xFFFF);
-    std::vector<std::uint64_t> skip(8, 0);
-    // Minimum in the very first and very last lane; 0xFFFF live lanes must
-    // not be confused with the all-skipped sentinel.
-    lanes[0] = 3;
-    EXPECT_EQ(kt->masked_min_u16(lanes.data(), skip.data(), 8), 3) << kt->name;
-    lanes[0] = 0xFFFF;
-    lanes[511] = 5;
-    EXPECT_EQ(kt->masked_min_u16(lanes.data(), skip.data(), 8), 5) << kt->name;
-    skip[7] = 1ull << 63;  // skip exactly the minimum lane
-    EXPECT_EQ(kt->masked_min_u16(lanes.data(), skip.data(), 8), 0xFFFF) << kt->name;
-    std::fill(skip.begin(), skip.end(), ~0ull);  // everything skipped
-    EXPECT_EQ(kt->masked_min_u16(lanes.data(), skip.data(), 8), 0xFFFF) << kt->name;
   }
 }
 

@@ -87,6 +87,29 @@ TEST(StartGap, EveryLineVisitsEveryPhysicalSlot) {
   EXPECT_EQ(slots.size(), 9u);
 }
 
+TEST(StartGap, TabledMapMatchesRandomizerRotationAndGapSkip) {
+  // The randomized map is tabled at construction; it must equal the
+  // definitional formulation — randomize, rotate by start mod N, skip the
+  // gap — at every step of at least one full gap revolution.
+  for (std::uint64_t n : {1ull, 2ull, 257ull, 767ull, 1000ull}) {
+    const std::uint64_t seed = 17 + n;
+    StartGap sg(n, /*gap_interval=*/1, /*randomize=*/true, seed);
+    const StaticRandomizer r(n, seed);
+    // n + 1 moves complete one revolution of the gap; go a little further
+    // so start_ has advanced too.
+    for (std::uint64_t step = 0; step < n + 3; ++step) {
+      for (std::uint64_t la = 0; la < n; ++la) {
+        std::uint64_t pa = (r.map(la) + sg.start()) % n;
+        if (pa >= sg.gap()) pa += 1;
+        ASSERT_EQ(sg.map(la), pa) << "n " << n << " step " << step << " la " << la;
+      }
+      (void)sg.on_write();
+    }
+    // The (n+1)-th move wraps the gap and advances start (mod n).
+    EXPECT_EQ(sg.start(), 1 % n) << "n " << n << ": no full revolution";
+  }
+}
+
 TEST(Rotation, AdvancesOffsetOnSaturation) {
   IntraLineRotator rot(2, /*threshold=*/4, /*step=*/1);
   EXPECT_EQ(rot.offset_bytes(0), 0u);
